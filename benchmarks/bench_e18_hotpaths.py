@@ -4,9 +4,11 @@ Three drop-in engine layers replaced the pure-Python hot paths behind
 every tier (PR 5): the columnar witness join (``repro.query.columnar``),
 the bitset hitting-set kernel (``repro.witness.structure`` +
 ``repro.resilience.approx``), and the scipy csgraph flow backbone
-(``repro.resilience.flownet``).  Each keeps the original implementation
-selectable as a reference oracle via ``REPRO_JOIN_BACKEND`` /
-``REPRO_KERNEL_BACKEND`` / ``REPRO_FLOW_BACKEND``.
+(``repro.resilience.flownet``).  The original implementations are
+timed as reference oracles: the backtracking join via
+``REPRO_JOIN_BACKEND=reference``, the frozenset kernel and the networkx
+min cut through ``tests/oracles`` (``force_reference_kernel`` /
+``networkx_flow``).
 
 Acceptance gates (the ISSUE/E18 contract), all measured old-path vs
 new-path in the same process on the existing scaling workloads:
@@ -35,6 +37,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from oracles import force_reference_kernel, networkx_flow
+
 from repro.query.columnar import backend_counters, reset_backend_counters
 from repro.query.zoo import ALL_QUERIES
 from repro.resilience.exact import resilience_branch_and_bound
@@ -61,16 +65,7 @@ RECORD_PATH = REPO_ROOT / "BENCH_e18_hotpaths.json"
 # BENCH record from whatever ran.
 RESULTS = {}
 
-REFERENCE_ENGINES = {
-    "REPRO_JOIN_BACKEND": "reference",
-    "REPRO_KERNEL_BACKEND": "reference",
-    "REPRO_FLOW_BACKEND": "networkx",
-}
-NEW_ENGINES = {
-    "REPRO_JOIN_BACKEND": "columnar",
-    "REPRO_KERNEL_BACKEND": "bitset",
-    "REPRO_FLOW_BACKEND": "csgraph",
-}
+NEW_ENGINES = {"REPRO_JOIN_BACKEND": "columnar"}
 
 
 @contextmanager
@@ -86,6 +81,15 @@ def _env(overrides):
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
+
+
+@contextmanager
+def _reference_engines():
+    """The pre-overhaul paths: backtracking join, frozenset kernel and
+    budgeted search, networkx min cut."""
+    with _env({"REPRO_JOIN_BACKEND": "reference"}):
+        with force_reference_kernel(), networkx_flow():
+            yield
 
 
 def _scaling_workload():
@@ -105,7 +109,7 @@ def test_layer_a_structure_construction(benchmark):
     with _env(NEW_ENGINES):
         build_all()  # warm imports (scipy csgraph, numpy ufuncs)
 
-    with _env(REFERENCE_ENGINES):
+    with _reference_engines():
         build_all()  # warm the reference side too
         t0 = time.perf_counter()
         reference = build_all()
@@ -170,7 +174,7 @@ def test_layer_b_bnb_solve(benchmark):
             for db, query, ws in instances
         ]
 
-    with _env(REFERENCE_ENGINES):
+    with _reference_engines():
         solve_all()  # warm
         t0 = time.perf_counter()
         reference = solve_all()
@@ -229,7 +233,7 @@ def test_layer_c_flow_solves(benchmark):
     def solve_all():
         return [fn(db).value for db, fn in instances]
 
-    with _env(REFERENCE_ENGINES):
+    with _reference_engines():
         solve_all()  # warm
         t0 = time.perf_counter()
         reference = solve_all()
@@ -289,7 +293,7 @@ def test_answers_bit_identical_across_engines(tmp_path):
         kwargs = {"mode": mode}
         if mode == "anytime":
             kwargs["budget"] = budget
-        with _env(REFERENCE_ENGINES):
+        with _reference_engines():
             clear_witness_cache()
             baseline = solve_batch(pairs, **kwargs)
         runs = {}

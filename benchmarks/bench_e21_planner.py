@@ -1,44 +1,41 @@
-"""E21 — cost-based planner vs every fixed global backend configuration.
+"""E21 — the engine's default thresholds vs every pinnable global configuration.
 
-The planner (:mod:`repro.planner`) picks a join backend, kernel
-backend, flow backend, solver method and sharding decision *per
-instance* from cheap features.  A fixed ``REPRO_*_BACKEND``
-environment, by contrast, commits the whole batch to one choice and
-pays wherever that choice is wrong: exact resilience is NP-complete in
-general (Theorem 24) but PTIME on the flow specials (Proposition 31),
-so no single solver/flow/join setting is right for a mixed workload.
+The engine's per-instance choices are size thresholds inside the two
+pipelines of the dichotomy (see :mod:`repro.planner`): exact resilience
+is NP-complete in general (Theorem 24) but PTIME on the flow specials
+(Proposition 31), the columnar join only pays above a size threshold,
+and ``choose_backend`` picks branch and bound or ILP per kernelized
+structure.  A fixed global environment, by contrast, commits the whole
+batch to one choice and pays wherever that choice is wrong.
 
 This benchmark builds one mixed batch spanning the regimes where each
-backend wins and loses:
+choice wins and loses:
 
 * **leg A (small/mid PTIME)** — flow specials (``q_perm``/``q_conf``
-  plus ``q_Aperm`` at domain sizes where the csgraph backbone's
-  advantage is measurable); forcing ``networkx`` pays here;
+  plus ``q_Aperm`` at domain sizes where flow beats search);
 * **leg B1 (many small NP-hard)** — dozens of small ``q_chain``/
   ``q_3chain``/``q_a_chain`` instances whose kernels are tiny, so
-  ``choose_backend`` picks branch-and-bound; forcing ``ilp`` pays a
+  ``choose_backend`` picks branch-and-bound; pinning ``ilp`` pays a
   per-instance setup cost on every one;
 * **leg B2 (mid NP-hard, dense)** — a few dense ``q_3chain``
   instances whose kernels stay large, where branch-and-bound blows up
-  and the ILP wins by seconds; forcing ``bnb`` pays here;
+  and the ILP wins by seconds; pinning ``bnb`` pays here;
 * **leg C (large weighted)** — skewed-cost instances whose witness
   enumeration dominates (``q_vc``/``q_sj1_rats`` kernelize to almost
-  nothing, so the structure *build* is the entire cost and forcing the
-  ``reference`` join or kernel pays), plus large weighted ``q_Aperm``
-  flow instances.
+  nothing, so the structure *build* is the entire cost and pinning the
+  ``reference`` join pays), plus large weighted ``q_Aperm`` flow
+  instances.
 
-**Gate.**  The planner-driven ``solve_batch`` must be at least
+**Gate.**  The default ``solve_batch`` must be at least
 ``MIN_SPEEDUP``x faster end-to-end than the **best single global
-environment configuration**, with bit-identical values on the exact
-batch and bit-identical certified intervals on a bounded anytime
-batch.  A "configuration" here is one of the 16 fully pinned
-``(join, kernel, flow, solver)`` combinations.  Leaving a variable
-*unset* is not a configuration: unset means the engine's built-in
-adaptive default, which is exactly the policy the planner's static
-cost model generalizes — measuring against it would compare the
-planner to itself.  The comparison the gate makes is the operational
-one: a user who pins backends globally (the only control surface that
-existed before the planner) versus the planner choosing per instance.
+configuration**, with bit-identical values on the exact batch and
+bit-identical certified intervals on a bounded anytime batch.  A
+"configuration" is one of the 4 ``(join, solver)`` pins the engine
+still exposes — ``REPRO_JOIN_BACKEND`` (with
+``REPRO_COLUMNAR_MIN_TUPLES=0``, so a pinned join runs unconditionally)
+times ``REPRO_SOLVER_BACKEND``; the kernel and min cut always run the
+bitset and csgraph engines (their reference implementations are
+differential oracles in ``tests/oracles``).
 
 ``REPRO_BENCH_E21_SEEDS`` (default 40) scales leg B1,
 ``REPRO_BENCH_E21_REPEATS`` (default 2) the timing repeats, and
@@ -71,14 +68,10 @@ SEEDS = max(4, int(os.environ.get("REPRO_BENCH_E21_SEEDS", "40")))
 REPEATS = max(1, int(os.environ.get("REPRO_BENCH_E21_REPEATS", "2")))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_E21_MIN_SPEEDUP", "1.2"))
 
-# The 16 fully pinned global configurations the planner competes with.
+# The 4 pinnable global configurations the default competes with.
 JOIN_BACKENDS = ("columnar", "reference")
-KERNEL_BACKENDS = ("bitset", "reference")
-FLOW_BACKENDS = ("csgraph", "networkx")
 SOLVER_BACKENDS = ("bnb", "ilp")
-ALL_CONFIGS = tuple(
-    itertools.product(JOIN_BACKENDS, KERNEL_BACKENDS, FLOW_BACKENDS, SOLVER_BACKENDS)
-)
+ALL_CONFIGS = tuple(itertools.product(JOIN_BACKENDS, SOLVER_BACKENDS))
 
 # Results accumulated across the gate tests; the final test writes the
 # BENCH record from whatever ran.
@@ -99,19 +92,21 @@ def _env(**overrides):
                 os.environ[key] = value
 
 
-def _forced_env(join, kernel, flow, solver):
-    """Environment pinning one global configuration, planner off."""
+def _forced_env(join, solver):
+    """Environment pinning one global configuration."""
     return {
-        "REPRO_PLANNER": "off",
         "REPRO_JOIN_BACKEND": join,
         # The columnar path normally defers to the reference join below
         # its crossover; a *pinned* configuration means the backend is
         # used unconditionally.
         "REPRO_COLUMNAR_MIN_TUPLES": "0",
-        "REPRO_KERNEL_BACKEND": kernel,
-        "REPRO_FLOW_BACKEND": flow,
         "REPRO_SOLVER_BACKEND": solver,
     }
+
+
+def _config_key(join, solver):
+    """The record label: join/kernel/flow/solver, as in earlier records."""
+    return f"{join}/bitset/csgraph/{solver}"
 
 
 def _warm_imports():
@@ -202,60 +197,58 @@ def _timed_batch(pairs, repeats=1, **env_overrides):
     return best, batch
 
 
-def test_gate_planner_beats_best_fixed_config():
-    """Gate: planner-driven batch is >= MIN_SPEEDUP x faster than the
-    best of the 16 pinned configurations, with bit-identical values."""
+def test_gate_default_beats_best_fixed_config():
+    """Gate: the default batch is >= MIN_SPEEDUP x faster than the best
+    of the 4 pinned configurations, with bit-identical values."""
     _warm_imports()
     pairs = _build_exact_batch()
     # Warm every code path once so no configuration is charged for
     # lazy imports or first-call setup.
-    _timed_batch(pairs, **_forced_env("columnar", "bitset", "csgraph", "ilp"))
+    _timed_batch(pairs, **_forced_env("columnar", "ilp"))
 
-    planner_seconds, planner_batch = _timed_batch(
-        pairs, repeats=REPEATS, REPRO_PLANNER="on"
-    )
-    planner_values = planner_batch.values()
-    assert planner_batch.stats.plans, "planner recorded no plans"
+    default_seconds, default_batch = _timed_batch(pairs, repeats=REPEATS)
+    default_values = default_batch.values()
+    assert default_batch.stats.plans, "batch recorded no plans"
 
     config_times = {}
     mismatches = []
-    for join, kernel, flow, solver in ALL_CONFIGS:
+    for join, solver in ALL_CONFIGS:
         seconds, batch = _timed_batch(
-            pairs, repeats=REPEATS, **_forced_env(join, kernel, flow, solver)
+            pairs, repeats=REPEATS, **_forced_env(join, solver)
         )
-        key = f"{join}/{kernel}/{flow}/{solver}"
+        key = _config_key(join, solver)
         config_times[key] = round(seconds, 3)
-        if batch.values() != planner_values:
+        if batch.values() != default_values:
             mismatches.append(key)
     assert not mismatches, (
-        f"planner values differ from forced configurations: {mismatches}"
+        f"default values differ from pinned configurations: {mismatches}"
     )
 
     best_key = min(config_times, key=config_times.get)
     best_seconds = config_times[best_key]
-    speedup = best_seconds / planner_seconds
+    speedup = best_seconds / default_seconds
     assert speedup >= MIN_SPEEDUP, (
-        f"planner {planner_seconds:.3f}s vs best fixed config "
+        f"default {default_seconds:.3f}s vs best fixed config "
         f"{best_key} {best_seconds:.3f}s: speedup {speedup:.2f}x "
         f"< required {MIN_SPEEDUP}x"
     )
     RESULTS["exact_batch"] = {
         "pairs": len(pairs),
         "repeats": REPEATS,
-        "planner_seconds": round(planner_seconds, 3),
+        "default_seconds": round(default_seconds, 3),
         "best_config": best_key,
         "best_config_seconds": best_seconds,
         "speedup_vs_best_config": round(speedup, 3),
         "min_speedup_required": MIN_SPEEDUP,
         "config_seconds": config_times,
-        "plans": dict(planner_batch.stats.plans),
+        "plans": dict(default_batch.stats.plans),
         "values_identical_configs": len(ALL_CONFIGS),
     }
 
 
 def test_gate_anytime_intervals_identical():
     """Gate: bounded anytime intervals are bit-identical between the
-    planner and every pinned configuration."""
+    default and every pinned configuration."""
     _warm_imports()
     pairs = _build_anytime_batch()
     budget = Budget(node_limit=64)
@@ -265,15 +258,15 @@ def test_gate_anytime_intervals_identical():
             clear_witness_cache()
             return solve_batch(pairs, mode="anytime", budget=budget, weighted=True)
 
-    planner_batch = _run(REPRO_PLANNER="on")
-    planner_intervals = planner_batch.intervals()
+    default_batch = _run()
+    default_intervals = default_batch.intervals()
     checked = 0
-    for join, kernel, flow, solver in ALL_CONFIGS:
-        batch = _run(**_forced_env(join, kernel, flow, solver))
-        assert batch.intervals() == planner_intervals, (
-            f"intervals diverge under {join}/{kernel}/{flow}/{solver}"
+    for join, solver in ALL_CONFIGS:
+        batch = _run(**_forced_env(join, solver))
+        assert batch.intervals() == default_intervals, (
+            f"intervals diverge under {_config_key(join, solver)}"
         )
-        assert list(batch.results) == list(planner_batch.results)
+        assert list(batch.results) == list(default_batch.results)
         checked += 1
     RESULTS["anytime_batch"] = {
         "pairs": len(pairs),
@@ -283,8 +276,8 @@ def test_gate_anytime_intervals_identical():
 
 
 def test_gate_plans_deterministic_across_runs():
-    """Gate: the plans the timed batch runs under are reproducible —
-    replanning every instance cold yields the same signatures."""
+    """Gate: the plan records of the timed batch are reproducible —
+    describing every instance cold again yields the same signatures."""
     pairs = _build_exact_batch()
     signatures = []
     for _ in range(2):

@@ -9,8 +9,15 @@ in EXPERIMENTS.md.
 """
 
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
+
+# The differential reference implementations (tests/oracles) are shared
+# by the test suites and the benchmarks that time the engine against
+# them.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro.workloads import CNFFormula, random_3cnf
 

@@ -73,7 +73,6 @@ from repro.resilience import (
     BoundedResilienceResult,
     Budget,
     ResilienceResult,
-    resilience,
     resilience_anytime,
     resilience_bounds,
     solve,
@@ -82,7 +81,7 @@ from repro.incremental import IncrementalSession, Update
 from repro.structure import Classification, Verdict, classify, normalize
 from repro.witness import ResultCache, WitnessStructure, witness_structure
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "Database",
@@ -99,7 +98,6 @@ __all__ = [
     "BoundedResilienceResult",
     "Budget",
     "ResilienceResult",
-    "resilience",
     "resilience_bounds",
     "resilience_anytime",
     "solve",

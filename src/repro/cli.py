@@ -57,15 +57,8 @@ Commands
     ``docs/serving.md``.
 
 ``planner explain "<query>" <database.json>``
-    Print the features the cost-based planner extracts from the
-    instance, the plan it would run, and the model that priced it
-    (see ``docs/planner.md``).
-
-``planner calibrate [records...]``
-    Fit a planner cost model offline from committed ``BENCH_*.json``
-    trajectory records (default: the checked-in E18/E19/E20 records)
-    and print it, or write it with ``--json OUT`` for use via
-    ``REPRO_PLANNER_MODEL``.
+    Print the instance's features and the plan record — the join, split
+    and size-class thresholds it falls on (see ``docs/planner.md``).
 """
 
 from __future__ import annotations
@@ -204,19 +197,6 @@ def _warm_imports() -> None:
     import scipy.sparse.csgraph  # noqa: F401
 
 
-def _engine_backends() -> dict:
-    """The engine backend selection in effect (for ``--json`` records)."""
-    from repro.query.columnar import join_backend
-    from repro.resilience.flownet import flow_backend
-    from repro.witness.structure import _kernel_backend
-
-    return {
-        "join": join_backend(),
-        "kernel": _kernel_backend(),
-        "flow": flow_backend(),
-    }
-
-
 def _stats_payload(stats) -> dict:
     """A :class:`~repro.core.analyzer.BatchStats` as plain JSON data."""
     r = stats.reductions
@@ -255,13 +235,13 @@ def _write_bench_json(path: str, payload: dict) -> None:
     """Write one machine-readable benchmark record (the ``BENCH_*.json``
     trajectory format; see ``docs/performance.md``)."""
     import repro
-    from repro.query.columnar import backend_counters
+    from repro.query.columnar import backend_counters, join_backend
 
     record = {
         "schema": 1,
         "bench": "repro-bench-cli",
         "version": repro.__version__,
-        "backends": _engine_backends(),
+        "backends": {"join": join_backend()},
         "join_backend_counters": backend_counters(),
     }
     record.update(payload)
@@ -397,7 +377,6 @@ def cmd_bench(args) -> int:
 
     _warm_imports()
 
-    planner = None if args.planner is None else (args.planner == "on")
     clear_witness_cache()
     dispatch_plan.cache_clear()
     batch = solve_batch(
@@ -407,7 +386,6 @@ def cmd_bench(args) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         weighted=args.weighted,
-        planner=planner,
     )
     for line in batch.stats.summary_lines():
         print(line)
@@ -423,7 +401,6 @@ def cmd_bench(args) -> int:
                     "seed": args.seed,
                     "scale": args.scale,
                     "weighted": bool(args.weighted),
-                    "planner": args.planner,
                 },
                 "stats": _stats_payload(batch.stats),
                 "values": batch.values(),
@@ -552,8 +529,8 @@ def _bench_updates(args, budget) -> int:
 
 
 def cmd_planner_explain(args) -> int:
-    """Print the planner's features, plan, and model for one instance."""
-    from repro.planner import active_model, extract_features, plan_instance
+    """Print the features and the plan record for one instance."""
+    from repro.planner import plan_instance
     from repro.resilience.types import Budget
 
     query = parse_query(args.query) if args.query not in ALL_QUERIES else (
@@ -563,62 +540,17 @@ def cmd_planner_explain(args) -> int:
     budget = Budget(
         time_limit=args.budget_seconds, node_limit=args.budget_nodes
     )
-    budget_arg = None if budget.unlimited else budget
-    model = active_model()
-    features = extract_features(
-        db, query, mode=args.mode, budget=budget_arg, weighted=args.weighted
-    )
     plan = plan_instance(
-        db, query, mode=args.mode, budget=budget_arg, weighted=args.weighted
+        db,
+        query,
+        mode=args.mode,
+        budget=None if budget.unlimited else budget,
+        weighted=args.weighted,
     )
-    print(f"model: {model.version}"
-          + (f" (source: {', '.join(model.source)})" if model.source else ""))
     print("features:")
-    for name, value in features.as_dict().items():
+    for name, value in plan.features.as_dict().items():
         print(f"  {name}: {value}")
-    if features.kernel_size is not None:
-        print(f"  kernel_size: {features.kernel_size}")
     print(f"plan: {plan.signature()}")
-    print(
-        "note: explicit solve() arguments and REPRO_* backend env vars "
-        "override the plan (see docs/planner.md)"
-    )
-    return 0
-
-
-# The checked-in trajectory records `repro planner calibrate` reads by
-# default (relative to the current directory, i.e. the repo root).
-DEFAULT_CALIBRATION_RECORDS = (
-    "BENCH_e18_hotpaths.json",
-    "BENCH_e19_serving.json",
-    "BENCH_e20_weighted.json",
-)
-
-
-def cmd_planner_calibrate(args) -> int:
-    """Fit a cost model from BENCH_*.json records and print/write it."""
-    from repro.planner import calibrate
-
-    paths = args.records if args.records else list(DEFAULT_CALIBRATION_RECORDS)
-    records = []
-    for path in paths:
-        try:
-            with open(path) as handle:
-                records.append((path, json.load(handle)))
-        except (OSError, ValueError) as exc:
-            print(f"cannot read record {path}: {exc}", file=sys.stderr)
-            return 2
-    try:
-        model = calibrate(records)
-    except ValueError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        model.save(args.json)
-        print(f"wrote {args.json} (version {model.version})")
-        print(f"use it with REPRO_PLANNER_MODEL={args.json}")
-    else:
-        print(json.dumps(model.to_json(), indent=2, sort_keys=True))
     return 0
 
 
@@ -825,25 +757,17 @@ def build_parser() -> argparse.ArgumentParser:
         "BENCH_*.json trajectory format, see docs/performance.md): "
         "workload, engine backends, batch statistics, values",
     )
-    p.add_argument(
-        "--planner",
-        choices=("on", "off"),
-        default=None,
-        help="force the cost-based backend planner on or off for the "
-        "batch (default: the REPRO_PLANNER env var, which defaults on; "
-        "see docs/planner.md)",
-    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "planner",
-        help="inspect or calibrate the cost-based backend planner",
+        help="inspect the plan record (join, split, size class) of one instance",
     )
     planner_sub = p.add_subparsers(dest="planner_command", required=True)
 
     pe = planner_sub.add_parser(
         "explain",
-        help="print the features, plan, and model for one instance",
+        help="print the features and plan for one instance",
     )
     pe.add_argument("query", help='zoo name or e.g. "R(x,y), R(y,z)"')
     pe.add_argument("database", help="path to a database JSON file")
@@ -854,25 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--budget-seconds", type=float, default=None)
     pe.add_argument("--budget-nodes", type=int, default=None)
     pe.set_defaults(func=cmd_planner_explain)
-
-    pc = planner_sub.add_parser(
-        "calibrate",
-        help="fit a cost model from BENCH_*.json trajectory records",
-    )
-    pc.add_argument(
-        "records",
-        nargs="*",
-        help="trajectory record paths (default: the checked-in "
-        "E18/E19/E20 records in the current directory)",
-    )
-    pc.add_argument(
-        "--json",
-        default=None,
-        metavar="OUT",
-        help="write the fitted model here (load it back via "
-        "REPRO_PLANNER_MODEL) instead of printing it",
-    )
-    pc.set_defaults(func=cmd_planner_calibrate)
 
     p = sub.add_parser(
         "serve", help="run the resilience HTTP serving daemon"

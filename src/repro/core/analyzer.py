@@ -32,6 +32,7 @@ from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import DatabaseIndex
 from repro.query.homomorphism import minimize
 from repro.query.parser import parse_query
+from repro.planner.features import endogenous_count, witness_estimate
 from repro.resilience.solver import dispatch_plan, solve
 from repro.resilience.types import ResilienceResult
 from repro.structure.classifier import Classification, Verdict, classify
@@ -238,13 +239,12 @@ class BatchStats:
     with (1 = serial), ``shards`` how many shards were dispatched to
     the pool, and ``cache_hits`` / ``cache_misses`` how many *unique*
     pairs the persistent result cache served / had to compute (zero
-    when no ``cache_dir`` was given).  ``plans`` counts the planner's
-    per-instance decisions by plan signature (one entry per *solved*
-    unique pair; empty when planning is off — see
-    :mod:`repro.planner`).  Every counter in this object is
-    reproducible for a fixed input batch regardless of worker count;
-    only the wall-clock fields (``time_total`` and the times inside
-    ``reductions``) vary run to run.
+    when no ``cache_dir`` was given).  ``plans`` counts the solved
+    unique pairs by :class:`~repro.planner.Plan` signature — which
+    join, split and size class each one ran with.  Every counter in
+    this object is reproducible for a fixed input batch regardless of
+    worker count; only the wall-clock fields (``time_total`` and the
+    times inside ``reductions``) vary run to run.
     """
 
     pairs: int = 0
@@ -345,11 +345,32 @@ class BatchResult(Sequence):
         return f"BatchResult(n={len(self.results)}, stats={self.stats})"
 
 
-# A database at least this large (in tuples) has its post-kernelization
-# connected components sharded individually when solving in parallel;
-# below it, whole-pair tasks amortize better than a coordinator-side
-# structure build.  Override per call via ``split_components``.
+# A database with at least this many endogenous tuples (the ones that
+# grow the hitting-set search; exogenous tuples never do) has its
+# post-kernelization connected components sharded individually when
+# solving in parallel; below it, whole-pair tasks amortize better than a
+# coordinator-side structure build.  Override per call via
+# ``split_components``.
 COMPONENT_SPLIT_THRESHOLD = 400
+
+
+def split_instance(
+    database: Database, split_components: Union[int, bool, None] = None
+) -> bool:
+    """Should a parallel batch shard this exact instance per component?
+
+    ``split_components`` is :func:`solve_batch`'s argument: ``None`` or
+    ``True`` use :data:`COMPONENT_SPLIT_THRESHOLD`, an int replaces it,
+    ``False`` never splits.
+    """
+    if split_components is False:
+        return False
+    threshold = (
+        COMPONENT_SPLIT_THRESHOLD
+        if split_components is None or split_components is True
+        else int(split_components)
+    )
+    return endogenous_count(database) >= threshold
 
 
 def _default_workers() -> int:
@@ -375,7 +396,6 @@ def solve_batch(
     split_components: Union[int, bool, None] = None,
     pool=None,
     weighted: bool = False,
-    planner: Optional[bool] = None,
 ) -> BatchResult:
     """Solve many (database, query) pairs, amortizing shared work.
 
@@ -406,9 +426,10 @@ def solve_batch(
 
     ``workers`` > 1 partitions the unique pairs into deterministic
     shards and solves them on a process pool (:mod:`repro.parallel`);
-    large exact instances (``len(db) >=`` ``split_components``,
-    default :data:`COMPONENT_SPLIT_THRESHOLD`; pass ``False`` to
-    disable) are further split into per-component hitting-set tasks.
+    large exact instances (at least ``split_components`` endogenous
+    tuples, default :data:`COMPONENT_SPLIT_THRESHOLD`; pass ``False``
+    to disable — see :func:`split_instance`) are further split into
+    per-component hitting-set tasks.
     Results — values *and* contingency sets — are identical to a serial
     run, and every :class:`BatchStats` counter is reproducible
     regardless of worker count.  ``workers=None`` reads the
@@ -431,30 +452,22 @@ def solve_batch(
     databases delegate to the unweighted path, bit for bit, and the
     persistent cache keys cover the flag and the cost assignments.
 
-    ``planner`` controls per-instance backend planning exactly as in
-    :func:`~repro.resilience.solver.solve` (``None`` follows
-    ``REPRO_PLANNER``; the coordinator resolves the flag once, so
-    workers never consult the environment themselves).  When planning
-    is on, each solved unique pair gets a deterministic
-    :class:`~repro.planner.Plan` — tallied by signature in
-    ``stats.plans`` — that picks its backends, its LPT shard weight,
-    and (when ``split_components`` is ``None``) whether the instance
-    is decomposed into per-component tasks.  Plans never change
-    results: values, certificates, and intervals are bit-identical to
-    a planner-off run.
+    Each solved unique pair is described by a
+    :class:`~repro.planner.Plan`, tallied by signature in
+    ``stats.plans``; the coordinator computes them in first-appearance
+    order, so the tally is reproducible regardless of worker count.
 
     Results come back in input order inside a :class:`BatchResult`
     carrying aggregate reduction, interval, shard, plan, and cache
     statistics.
     """
-    from repro.planner import plan_instance, planner_enabled
+    from repro.planner import plan_instance
 
     pair_list = list(pairs)
     t0 = time.perf_counter()
     if workers is None:
         workers = pool.workers if pool is not None else _default_workers()
     workers = max(1, int(workers))
-    planner_on = planner_enabled(planner)
     stats = BatchStats(pairs=len(pair_list), mode=mode, workers=workers)
     indexes: Dict[int, DatabaseIndex] = {}
     canon: Dict[int, frozenset] = {}
@@ -503,18 +516,11 @@ def solve_batch(
         if key not in unit_results
     ]
 
-    # One plan per solved unique pair, computed coordinator-side in
-    # first-appearance order: stats.plans is then reproducible for a
-    # fixed input batch regardless of worker count or shard layout
-    # (workers recompute identical plans from the same content).
-    unit_plans: Dict[Tuple[frozenset, frozenset], object] = {}
-    if planner_on:
-        for key, db, query in todo:
-            plan = plan_instance(
-                db, query, mode=mode, budget=budget, weighted=weighted
-            )
-            unit_plans[key] = plan
-            stats.plans[plan.signature()] += 1
+    for _key, db, query in todo:
+        plan = plan_instance(
+            db, query, mode=mode, budget=budget, weighted=weighted
+        )
+        stats.plans[plan.signature()] += 1
 
     def _count_structure_build(ws) -> None:
         stats.structures += 1
@@ -530,9 +536,7 @@ def solve_batch(
 
         budget_obj = None if budget is None else Budget.coerce(budget)
         tasks = tuple(
-            PairTask(
-                i, db, query, method, mode, budget_obj, weighted, planner_on
-            )
+            PairTask(i, db, query, method, mode, budget_obj, weighted)
             for i, (key, db, query) in enumerate(todo)
         )
         outcome = run_shard(Shard(0, tasks))
@@ -554,8 +558,6 @@ def solve_batch(
             split_components=split_components,
             pool=pool,
             weighted=weighted,
-            planner_on=planner_on,
-            unit_plans=unit_plans,
         )
 
     if cache is not None:
@@ -591,8 +593,6 @@ def _solve_units_parallel(
     split_components: Union[int, bool, None],
     pool=None,
     weighted: bool = False,
-    planner_on: bool = False,
-    unit_plans: Optional[Dict[Tuple[frozenset, frozenset], object]] = None,
 ) -> None:
     """The ``workers > 1`` arm of :func:`solve_batch`.
 
@@ -601,12 +601,8 @@ def _solve_units_parallel(
     executes on the pool, and assembles unit results.  Mutates
     ``unit_results`` and ``stats`` exactly as the serial arm would:
     outcomes are merged by task id and telemetry in shard order, never
-    in completion order, so counters are reproducible.
-
-    With planning on, each unit's precomputed plan (``unit_plans``)
-    governs the coordinator-side structure builds (join/kernel
-    backends), the split decision when ``split_components`` is ``None``
-    (an explicit argument always wins), and the LPT cost hints.
+    in completion order, so counters are reproducible.  Whole-pair
+    tasks carry their witness-count estimate as the LPT weight.
     """
     from repro.parallel import (
         ComponentTask,
@@ -615,16 +611,8 @@ def _solve_units_parallel(
         execute_shards,
         group_by_database,
     )
-    from repro.planner import use_plan
+    from repro.resilience.exact import effective_backend
     from repro.resilience.types import Budget
-
-    if split_components is False:
-        split_threshold: Optional[int] = None
-    elif split_components is None or split_components is True:
-        split_threshold = COMPONENT_SPLIT_THRESHOLD
-    else:
-        split_threshold = int(split_components)
-    unit_plans = unit_plans or {}
 
     budget_obj = None if budget is None else Budget.coerce(budget)
     tasks: List[object] = []
@@ -638,39 +626,25 @@ def _solve_units_parallel(
     for key, db, query in todo:
         w = weighted and db.has_weighted_costs()
         unit_weighted[key] = w
-        plan = unit_plans.get(key)
         exact_path = (
             method is None and dispatch_plan(query, weighted=w).kind == "exact"
         )
-        if split_components is None and plan is not None:
-            # The planner's shard-layer decision; an explicit
-            # split_components argument (including the legacy True)
-            # keeps the static threshold instead.
-            split_instance = plan.split
-        else:
-            split_instance = (
-                split_threshold is not None and len(db) >= split_threshold
-            )
-        if exact_path and mode == "exact" and split_instance:
-            index = _index(db)
-            with use_plan(plan):
-                _, misses_before, _ = witness_cache_info()
-                ws = witness_structure(db, query, index=index, weighted=w)
-                _, misses_after, _ = witness_cache_info()
-                if misses_after > misses_before:
-                    _count_structure_build(ws)
-                if not ws.satisfied:
-                    unit_results[key] = ResilienceResult(
-                        0, frozenset(), method="unsatisfied"
-                    )
-                    continue
-                # The backend is decided per whole structure — the same
-                # rule resilience_exact(prefer="auto") applies, override
-                # (env var / plan) included — so the assembled result
-                # names the method a serial solve would have named.
-                from repro.resilience.exact import effective_backend
-
-                backend = effective_backend(ws)
+        if exact_path and mode == "exact" and split_instance(db, split_components):
+            _, misses_before, _ = witness_cache_info()
+            ws = witness_structure(db, query, index=_index(db), weighted=w)
+            _, misses_after, _ = witness_cache_info()
+            if misses_after > misses_before:
+                _count_structure_build(ws)
+            if not ws.satisfied:
+                unit_results[key] = ResilienceResult(
+                    0, frozenset(), method="unsatisfied"
+                )
+                continue
+            # The backend is decided per whole structure — the same
+            # rule resilience_exact(prefer="auto") applies, solver pin
+            # included — so the assembled result names the method a
+            # serial solve would have named.
+            backend = effective_backend(ws)
             method_name = "ilp" if backend == "ilp" else "branch-and-bound"
             comp_ids: List[int] = []
             for comp in ws.components:
@@ -698,8 +672,7 @@ def _solve_units_parallel(
                     mode,
                     budget_obj,
                     weighted,
-                    planner_on,
-                    plan.features.witness_estimate if plan is not None else None,
+                    witness_estimate(db, query),
                 )
             )
             pair_task_units[task_id] = key

@@ -59,22 +59,19 @@ class PairTask:
     mode: str = "exact"
     budget: Optional[Budget] = None
     weighted: bool = False
-    # The batch-level planner decision, resolved by the coordinator
-    # (True/False, or None for the worker to read REPRO_PLANNER); the
-    # worker recomputes the per-instance plan from the task content.
-    planner: Optional[bool] = None
-    # Planner-informed LPT weight (the instance's witness-count
-    # estimate); None falls back to the tuple count.
+    # LPT weight: the instance's witness-count estimate
+    # (repro.planner.witness_estimate); None falls back to the tuple
+    # count.
     cost_hint: Optional[int] = None
 
     @property
     def cost_estimate(self) -> int:
         """Relative cost proxy for LPT packing, floor 1.
 
-        The coordinator passes the planner's witness-count estimate as
-        ``cost_hint`` when planning is on — witness count tracks
-        structure-build and search cost far better than raw size; plain
-        instance size (tuples) is the planner-off fallback.
+        The coordinator passes the witness-count estimate as
+        ``cost_hint`` — witness count tracks structure-build and search
+        cost far better than raw size; plain instance size (tuples) is
+        the fallback.
         """
         if self.cost_hint is not None:
             return max(self.cost_hint, 1)

@@ -1,132 +1,71 @@
-"""Per-instance cost-based planning of engine backends.
+"""The per-instance plan record: which paths one solve takes.
 
-The engine keeps two or three interchangeable implementations of every
-layer it runs — witness enumeration (Section 2), kernel reduction,
-min-cut flow (Proposition 31), exact hitting-set search (Theorem 24),
-parallel sharding — historically selected by global environment
-variables and fixed size thresholds.  This package replaces that
-patchwork with a *planner*: :func:`plan_instance` extracts cheap
-features from one (query, database, mode, budget) pair
-(:mod:`repro.planner.features`), prices every backend with a
-calibrated cost model (:mod:`repro.planner.model`), and emits one
-frozen :class:`Plan` naming the backend for every layer.
+The paper splits RES(q) into two regimes: PTIME queries go to network
+flow (Proposition 31 and the bespoke Propositions 12/13/33/36/41/44),
+NP-complete ones to the witness join, the kernel and a hitting-set
+search (Theorem 24).  The engine's only choices are size thresholds
+inside those pipelines, each owned by the layer that applies it:
+:func:`repro.query.columnar.use_columnar` (``MIN_TUPLES_DEFAULT``;
+snapshot-backed databases always join columnar),
+:func:`repro.core.analyzer.split_instance`
+(``COMPONENT_SPLIT_THRESHOLD``), :func:`repro.resilience.exact.choose_backend`
+and :func:`repro.planner.features.is_large_instance`
+(``DEFAULT_MAX_EXACT_TUPLES``).
 
-Three contracts make the planner safe to leave on by default:
-
-* **output-invisible** — every backend pair it chooses between is
-  answer-equivalent by construction (the differential suites pin it),
-  so a plan changes wall-clock, never values, certificates, or
-  intervals;
-* **deterministic** — plans are pure functions of (instance content,
-  mode, budget, weighted flag, model); repeated calls, worker
-  processes, and serial-vs-parallel batches all compute the same plan;
-* **overridable** — explicit kwargs beat environment variables beat
-  the planner beat the static defaults.  The ``REPRO_*_BACKEND``
-  variables keep working exactly as before; the planner only decides
-  where they are silent.  ``REPRO_PLANNER=off`` disables planning
-  wholesale.
-
-Plans travel through :func:`repro.resilience.solver.solve` via a
-context variable (:func:`use_plan` / :func:`active_plan`): the solver
-computes the plan once per solve and every layer consults it at its
-existing decision point — no plan plumbing through intermediate
-signatures, and worker processes recompute identical plans from the
-same content instead of pickling them.
+:func:`plan_instance` describes an instance through those same
+predicates — for ``BatchStats.plans``, the serving tier's plan metric
+and ``repro planner explain`` — so the :class:`Plan` cannot drift from
+what actually ran.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.db.database import Database
+from repro.query.columnar import use_columnar
 from repro.query.cq import ConjunctiveQuery
 from repro.planner.features import (
     DEFAULT_MAX_EXACT_TUPLES,
-    PlanFeatures,
     WITNESS_ESTIMATE_CAP,
+    PlanFeatures,
+    endogenous_count,
     extract_features,
     is_large_instance,
-)
-from repro.planner.model import (
-    DEFAULT_MODEL,
-    MODEL_SCHEMA,
-    CostModel,
-    active_model,
-    calibrate,
-    clear_model_cache,
-    load_model,
+    witness_estimate,
 )
 
 __all__ = [
-    "CostModel",
     "DEFAULT_MAX_EXACT_TUPLES",
-    "DEFAULT_MODEL",
-    "MODEL_SCHEMA",
     "Plan",
     "PlanFeatures",
     "WITNESS_ESTIMATE_CAP",
-    "active_model",
-    "active_plan",
-    "calibrate",
-    "clear_model_cache",
+    "endogenous_count",
     "extract_features",
     "is_large_instance",
-    "load_model",
     "plan_instance",
-    "planner_enabled",
-    "use_plan",
+    "witness_estimate",
 ]
 
 
 @dataclass(frozen=True)
 class Plan:
-    """One instance's backend decisions, every layer in one place.
-
-    ``solver`` is ``"bnb"``/``"ilp"`` when the post-kernelization shape
-    was known at planning time, else ``"auto"`` (defer to
-    :func:`repro.resilience.exact.choose_backend` once the structure
-    exists — the same rule the model reproduces, so the deferred and
-    planned decisions agree).  ``split`` is the shard-layer choice:
-    whether a parallel batch should decompose this instance into
-    per-component hitting-set tasks.  ``size_class`` mirrors the
-    serving tier's admission sizing (``"small"``/``"large"``), with
-    ``"out-of-core"`` for snapshot-backed instances
-    (:mod:`repro.storage`), which always join columnar.
-    """
+    """``join`` (``"columnar"``/``"reference"``), ``split`` (shard per
+    witness component in parallel batches) and ``size_class``
+    (``"small"``/``"large"``, or ``"out-of-core"`` for snapshot-backed
+    databases) of one instance."""
 
     join: str
-    kernel: str
-    flow: str
-    solver: str
     split: bool
     size_class: str
-    model_version: str
     features: PlanFeatures
 
     def signature(self) -> str:
         """A compact, stable label for stats counters and metrics."""
         return (
-            f"join={self.join},kernel={self.kernel},flow={self.flow},"
-            f"solver={self.solver},split={'yes' if self.split else 'no'},"
+            f"join={self.join},split={'yes' if self.split else 'no'},"
             f"size={self.size_class}"
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (``repro planner explain``, bench records)."""
-        return {
-            "join": self.join,
-            "kernel": self.kernel,
-            "flow": self.flow,
-            "solver": self.solver,
-            "split": self.split,
-            "size_class": self.size_class,
-            "model_version": self.model_version,
-            "features": self.features.as_dict(),
-        }
 
 
 def plan_instance(
@@ -135,92 +74,22 @@ def plan_instance(
     mode: str = "exact",
     budget=None,
     weighted: bool = False,
-    model: Optional[CostModel] = None,
 ) -> Plan:
-    """Compute the :class:`Plan` for one instance.
+    """The :class:`Plan` of one instance, from the engine's own
+    predicates (so ``REPRO_JOIN_BACKEND`` pins show up in it too)."""
+    # Imported lazily: repro.core sits above this package.
+    from repro.core.analyzer import split_instance
 
-    Pure in the planner sense: same instance content + same model →
-    same plan, on every process and every call (the witness-cache peek
-    inside feature extraction only *adds* kernel features when a
-    structure is already cached, and the model reproduces the deferred
-    rule on exactly those features, so cache state never flips an
-    output-visible decision).
-    """
-    if model is None:
-        model = active_model()
     features = extract_features(
         database, query, mode=mode, budget=budget, weighted=weighted
     )
-    kernel_size = features.kernel_size
-    solver = (
-        "auto"
-        if kernel_size is None
-        else model.choose("solver", kernel_size)
-    )
     if features.storage:
-        # Snapshot-backed instances: the data already lives as on-disk
-        # code matrices, so only the columnar join avoids a full decode
-        # pass, and the sizing label records the out-of-core regime.
-        join = "columnar"
         size_class = "out-of-core"
     else:
-        join = model.choose("join", features.total_tuples)
-        size_class = "large" if is_large_instance(features) else "small"
+        size_class = "large" if is_large_instance(database) else "small"
     return Plan(
-        join=join,
-        kernel=model.choose("kernel", features.witness_estimate),
-        flow=model.choose("flow", features.endogenous_tuples),
-        solver=solver,
-        split=model.choose("shard", features.endogenous_tuples) == "split",
+        join="columnar" if use_columnar(database) else "reference",
+        split=split_instance(database),
         size_class=size_class,
-        model_version=model.version,
         features=features,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The active plan (consulted by the engine layers' decision points)
-# ---------------------------------------------------------------------------
-
-_ACTIVE_PLAN: ContextVar[Optional[Plan]] = ContextVar(
-    "repro_planner_active_plan", default=None
-)
-
-
-def active_plan() -> Optional[Plan]:
-    """The plan governing the current solve, if any.
-
-    Engine layers call this at their existing decision points; the
-    environment variables are checked *first* at every such point (env
-    beats planner), so an active plan only fills silence.
-    """
-    return _ACTIVE_PLAN.get()
-
-
-@contextmanager
-def use_plan(plan: Optional[Plan]):
-    """Install ``plan`` as the active plan for the enclosed solve."""
-    token = _ACTIVE_PLAN.set(plan)
-    try:
-        yield plan
-    finally:
-        _ACTIVE_PLAN.reset(token)
-
-
-def planner_enabled(explicit: Optional[bool] = None) -> bool:
-    """Is per-instance planning on?
-
-    ``explicit`` (a caller's kwarg, e.g. ``solve_batch(planner=True)``)
-    wins outright; otherwise ``REPRO_PLANNER`` decides (``off``/``0``/
-    ``false`` disable, anything else — including unset — enables).
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("REPRO_PLANNER", "on").strip().lower()
-    if raw in ("off", "0", "false", "no"):
-        return False
-    if raw in ("", "on", "1", "true", "yes"):
-        return True
-    raise ValueError(
-        f"REPRO_PLANNER={raw!r} (expected 'on' or 'off')"
     )

@@ -1,28 +1,14 @@
-"""Cheap per-instance features for the cost-based planner.
+"""Cheap per-instance features for the plan record.
 
-Every backend decision the engine makes — join enumeration, kernel
-pipeline, flow backend, exact solver, shard layout — ultimately hinges
-on *how large* the hitting-set instance behind a (query, database) pair
-is.  The quantities that predict that size are exactly the ones the
-paper's complexity analysis is phrased in: the number of endogenous
-tuples bounds the hitting-set variable count (exogenous tuples can
-never enter a contingency set, Definition 1), the witness count of
-``D |= q`` (Section 2) bounds the constraint count — and is itself
-bounded by the product of the per-atom relation cardinalities — and
-the dichotomy (Theorem 24 / Theorem 37) decides whether the instance
-is solved by a polynomial flow construction or by exponential search.
-
-:func:`extract_features` computes those quantities *without* building
-anything: relation cardinalities are O(#relations), the PTIME verdict
-is the cached :func:`repro.resilience.solver.dispatch_plan`, and the
-post-kernelization shape (component count/size/width) is read from the
-in-memory witness-structure cache only when a build already happened —
-a cache *peek*, never a build.  Features are therefore pure functions
-of the instance content plus the current cache state, invariant under
-domain renaming and relation declaration order, and monotone in the
-obvious directions (adding endogenous tuples never shrinks
-``total_tuples``, ``endogenous_tuples``, or ``witness_estimate``);
-``tests/test_planner.py`` pins all three claims.
+The quantities that size the hitting-set instance behind a (query,
+database) pair are the ones the paper's analysis is phrased in: the
+endogenous tuples are its variables (exogenous tuples never enter a
+contingency set, Definition 1), the witnesses of ``D |= q`` (Section 2)
+its constraints — at most the product of the per-atom relation
+cardinalities — and the dichotomy (Theorem 24 / Theorem 37) decides
+between polynomial flow and exponential search.  :func:`extract_features`
+reads them from relation cardinalities and the cached
+:func:`repro.resilience.solver.dispatch_plan`, never building anything.
 """
 
 from __future__ import annotations
@@ -33,32 +19,18 @@ from typing import Dict, Optional
 from repro.db.database import Database
 from repro.query.cq import ConjunctiveQuery
 
-#: Cap on the witness-count estimate: the product of relation
-#: cardinalities overflows usefulness long before it overflows Python
-#: ints, and every cost curve treats "at least this" as "huge".
+#: Cap on the witness-count estimate.
 WITNESS_ESTIMATE_CAP = 10**9
 
-#: Endogenous-tuple count above which an instance is classified
-#: ``"large"`` — the single sizing threshold shared by the serving
-#: tier's admission policy (:mod:`repro.serving.admission`) and the
-#: planner's ``size_class``, so the two can never disagree about which
-#: instances are too big for the interactive exact tier.
+#: Endogenous-tuple count above which an instance is ``"large"`` — for
+#: serving admission and the plan's ``size_class`` alike.
 DEFAULT_MAX_EXACT_TUPLES = 2000
 
 
 @dataclass(frozen=True)
 class PlanFeatures:
-    """The feature vector one plan is computed from.
-
-    The first block is always available; the ``kernel_*`` block is
-    ``None`` unless a witness structure for the pair was already cached
-    when the features were extracted (post-kernelization shape is only
-    known after a build, and the planner never triggers one).
-    ``storage`` marks a snapshot-backed instance
-    (:class:`repro.storage.StoredDatabase`) — out-of-core data is
-    already dictionary-encoded on disk, so the columnar join is the
-    only enumeration path that avoids a full decode.
-    """
+    """The feature vector one plan records; ``storage`` marks a
+    snapshot-backed (:mod:`repro.storage`) database."""
 
     total_tuples: int
     endogenous_tuples: int
@@ -67,45 +39,27 @@ class PlanFeatures:
     weighted: bool
     mode: str
     bounded_budget: bool
-    kernel_components: Optional[int] = None
-    kernel_largest: Optional[int] = None
-    kernel_tuples: Optional[int] = None
-    kernel_width: Optional[int] = None
     storage: bool = False
 
     def as_dict(self) -> Dict[str, object]:
         """Field name → value, in declaration order (CLI ``explain``)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
-    def kernel_size(self) -> Optional[float]:
-        """The exact-solver sizing feature, when the kernel is known.
 
-        ``max(largest component, 1.5 * surviving tuples)`` — the same
-        two quantities :func:`repro.resilience.exact.choose_backend`
-        thresholds (largest component set count, post-reduction tuple
-        count), collapsed into one scalar so a single cost curve can
-        reproduce the rule.
-        """
-        if self.kernel_largest is None or self.kernel_tuples is None:
-            return None
-        return float(max(self.kernel_largest, 1.5 * self.kernel_tuples))
+def endogenous_count(database: Database) -> int:
+    """The number of endogenous tuples, from relation cardinalities."""
+    return sum(
+        len(rel) for rel in database.relations.values() if not rel.exogenous
+    )
 
 
-def _witness_estimate(database: Database, query: ConjunctiveQuery) -> int:
-    """Upper estimate of the witness count: product of atom cardinalities.
-
-    Every witness of ``D |= q`` picks one fact per atom, so the witness
-    count is at most ``prod_a |R_a|`` over the query's atoms (Section 2).
-    The estimate is capped at :data:`WITNESS_ESTIMATE_CAP`, uses only
-    relation cardinalities (hence renaming/declaration-order invariant),
-    and is monotone under insertions (cardinalities only grow).
-    """
+def witness_estimate(database: Database, query: ConjunctiveQuery) -> int:
+    """Upper estimate of the witness count — the product of the atoms'
+    relation cardinalities, capped; the LPT weight of a pair task."""
     estimate = 1
     for atom in query.atoms:
         rel = database.relations.get(atom.relation)
-        size = len(rel) if rel is not None else 0
-        estimate *= size
+        estimate *= len(rel) if rel is not None else 0
         if estimate == 0:
             return 0
         if estimate >= WITNESS_ESTIMATE_CAP:
@@ -120,66 +74,30 @@ def extract_features(
     budget=None,
     weighted: bool = False,
 ) -> PlanFeatures:
-    """Extract the planner's feature vector for one instance.
-
-    Cheap by construction: O(#relations) counting, one cached dispatch
-    classification, one witness-cache peek.  Never builds a structure,
-    never enumerates a witness.  ``weighted`` is normalized the way the
-    solvers normalize it — an all-unit database is not weighted.
-    """
-    # Imported lazily: the solver stack imports repro.planner for its
-    # hook points, so the top-level import must stay one-way.
+    """The feature vector of one instance.  ``weighted`` is normalized
+    the way the solvers normalize it: an all-unit database is not
+    weighted."""
+    # Imported lazily: the solver stack sits above this module.
     from repro.resilience.solver import dispatch_plan
-    from repro.witness.cache import peek_witness_structure
 
     effective = bool(weighted) and database.has_weighted_costs()
-    endogenous = sum(
-        len(rel)
-        for rel in database.relations.values()
-        if not rel.exogenous
-    )
-    kind = dispatch_plan(query, weighted=effective).kind
-    kernel_components = kernel_largest = kernel_tuples = kernel_width = None
-    ws = peek_witness_structure(database, query, weighted=effective)
-    if ws is not None and ws.satisfied:
-        kernel_components = len(ws.components)
-        kernel_largest = max(
-            (len(c.sets) for c in ws.components), default=0
-        )
-        kernel_tuples = ws.stats.tuples_final
-        kernel_width = max(
-            (len(s) for c in ws.components for s in c.sets), default=0
-        )
     return PlanFeatures(
         total_tuples=len(database),
-        endogenous_tuples=endogenous,
-        witness_estimate=_witness_estimate(database, query),
-        ptime=kind != "exact",
+        endogenous_tuples=endogenous_count(database),
+        witness_estimate=witness_estimate(database, query),
+        ptime=dispatch_plan(query, weighted=effective).kind != "exact",
         weighted=effective,
         mode=mode,
         bounded_budget=budget is not None,
-        kernel_components=kernel_components,
-        kernel_largest=kernel_largest,
-        kernel_tuples=kernel_tuples,
-        kernel_width=kernel_width,
         storage=getattr(database, "storage_snapshot", None) is not None,
     )
 
 
 def is_large_instance(
-    features: PlanFeatures, max_exact_tuples: Optional[int] = None
+    database: Database, max_exact_tuples: Optional[int] = None
 ) -> bool:
-    """The shared sizing predicate: too big for the interactive exact
-    tier?
-
-    One definition serves both consumers — the serving tier's
-    :class:`~repro.serving.admission.AdmissionPolicy` (which reroutes
-    large exact/approx requests to anytime) and the planner's
-    ``size_class`` — so an admission-rerouted pair is, by construction,
-    also planner-classified large (``tests/test_planner.py`` pins the
-    equivalence).
-    """
-    ceiling = (
-        DEFAULT_MAX_EXACT_TUPLES if max_exact_tuples is None else max_exact_tuples
-    )
-    return features.endogenous_tuples > ceiling
+    """Too many endogenous tuples for the interactive exact tier?  The
+    plan's ``size_class`` and serving admission both ask this."""
+    if max_exact_tuples is None:
+        max_exact_tuples = DEFAULT_MAX_EXACT_TUPLES
+    return endogenous_count(database) > max_exact_tuples

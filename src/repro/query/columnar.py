@@ -33,22 +33,15 @@ queries.
 
 Backend selection
 -----------------
-``REPRO_JOIN_BACKEND`` chooses the enumeration backend for
-:func:`repro.query.evaluation.witness_tuple_sets`:
-
-* ``columnar`` (default) — use this module when the database has at
-  least ``REPRO_COLUMNAR_MIN_TUPLES`` tuples (default
-  :data:`MIN_TUPLES_DEFAULT`; tiny instances stay on the reference path
-  where numpy call overhead would dominate);
-* ``reference`` — always use the backtracking evaluator.
-
-When neither ``REPRO_JOIN_BACKEND`` nor ``REPRO_COLUMNAR_MIN_TUPLES``
-is set and a solve runs under a planner plan
-(:func:`repro.planner.active_plan`), the plan's ``join`` choice is
-used instead of the static threshold — its cost model encodes the same
-crossover by default, calibrated from the measured E18 layer costs.
-Environment variables always override the planner (precedence:
-explicit kwarg > env var > planner > static default).
+:func:`use_columnar` is the enumeration gate for
+:func:`repro.query.evaluation.witness_tuple_sets`: databases of at
+least :data:`MIN_TUPLES_DEFAULT` tuples, and every snapshot-backed
+database (:mod:`repro.storage`, whose data already lives as on-disk
+code matrices), take the vectorized join; tiny in-memory instances stay
+on the reference path where numpy call overhead would dominate.
+``REPRO_JOIN_BACKEND`` (``columnar``/``reference``) and
+``REPRO_COLUMNAR_MIN_TUPLES`` pin the historical gate instead: the
+named backend above the named size threshold.
 
 :func:`backend_counters` reports how often each path actually ran —
 ``columnar`` (vectorized), ``reference`` (disabled or below the size
@@ -124,25 +117,20 @@ def min_columnar_tuples() -> int:
         return MIN_TUPLES_DEFAULT
 
 
-def _use_columnar(database: Database) -> bool:
+def use_columnar(database: Database) -> bool:
     """The enumeration gate shared by both ``try_*`` dispatchers.
 
-    Environment variables win when present (either of them pins the
-    historical semantics: explicit backend plus size threshold);
-    otherwise an active planner plan decides directly — its cost model
-    already priced the per-tuple costs against the fixed numpy
-    overhead, so no second threshold is applied on top.  With neither,
-    the static default gate runs unchanged.
+    With either environment variable set, the pinned gate runs: the
+    named backend, above the named size threshold.  Otherwise
+    snapshot-backed databases always join columnar, and in-memory ones
+    from :data:`MIN_TUPLES_DEFAULT` tuples up.
     """
-    env_backend = os.environ.get("REPRO_JOIN_BACKEND")
-    if env_backend is None and os.environ.get("REPRO_COLUMNAR_MIN_TUPLES") is None:
-        # Imported lazily: repro.planner reaches back into the solver
-        # stack for feature extraction, so the import stays one-way.
-        from repro.planner import active_plan
-
-        plan = active_plan()
-        if plan is not None:
-            return plan.join == "columnar"
+    if (
+        os.environ.get("REPRO_JOIN_BACKEND") is None
+        and os.environ.get("REPRO_COLUMNAR_MIN_TUPLES") is None
+        and getattr(database, "storage_snapshot", None) is not None
+    ):
+        return True
     return join_backend() == "columnar" and len(database) >= min_columnar_tuples()
 
 
@@ -712,7 +700,7 @@ def try_witness_incidence(
     :func:`try_witness_tuple_sets`, returning the
     :func:`columnar_witness_incidence` payload instead of fact sets.
     """
-    if not _use_columnar(database):
+    if not use_columnar(database):
         _counters["reference"] += 1
         return None
     result = columnar_witness_incidence(database, query, index=index)
@@ -731,13 +719,12 @@ def try_witness_tuple_sets(
 ) -> Optional[List[FrozenSet[DBTuple]]]:
     """The backend dispatcher used by ``witness_tuple_sets``.
 
-    Returns the columnar result when the backend is enabled — by the
-    environment gate or by an active planner plan (see
-    :func:`_use_columnar`) — and the instance is supported; ``None``
+    Returns the columnar result when :func:`use_columnar` admits the
+    database and the instance is supported; ``None``
     otherwise (the caller runs the reference evaluator).  Every
     outcome is tallied in :func:`backend_counters`.
     """
-    if not _use_columnar(database):
+    if not use_columnar(database):
         _counters["reference"] += 1
         return None
     result = columnar_witness_tuple_sets(

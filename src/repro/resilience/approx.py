@@ -447,37 +447,31 @@ def _budgeted_bnb(
     Returns ``(lower_bound, incumbent_set, completed)``; when
     ``completed`` is True the incumbent is exactly optimal.
 
-    The search runs on Python-int bitmasks over the component's tuple
-    universe (AND/OR/popcount per node) unless ``REPRO_KERNEL_BACKEND``
-    selects the frozenset reference; exploration order, node
-    accounting, incumbents, and bounds are identical either way.
-
-    With ``costs`` the objective is the cost sum and the search runs a
-    dedicated weighted reference (a bitmask variant would buy nothing:
-    the bound and branch arithmetic is cost lookups either way, and the
-    unit-cost case never reaches here — it delegates to the unweighted
-    path upstream).
+    Unweighted searches over at least :data:`_BNB_BITSET_MIN_SETS`
+    witness sets run on Python-int bitmasks over the component's tuple
+    universe (AND/OR/popcount per node); the rest run the frozenset
+    search, which also serves the weighted objective (cost sums in
+    place of cardinalities).  Exploration order, node accounting,
+    incumbents, and bounds are identical either way.
     """
-    if costs is not None:
-        return _budgeted_bnb_weighted(sets, seed, meter, costs)
-
-    from repro.witness.structure import _kernel_backend
-
-    if len(sets) >= _BNB_BITSET_MIN_SETS and _kernel_backend() == "bitset":
+    if costs is None and len(sets) >= _BNB_BITSET_MIN_SETS:
         universe = sorted({t for s in sets for t in s})
         if len(universe) <= _BNB_BITSET_MAX_TUPLES:
             return _budgeted_bnb_bitset(sets, seed, meter, universe)
-    return _budgeted_bnb_reference(sets, seed, meter)
+    return _budgeted_bnb_reference(sets, seed, meter, costs)
 
 
-def _budgeted_bnb_weighted(
+def _budgeted_bnb_reference(
     sets: Sequence[FrozenSet[int]],
     seed: Set[int],
     meter: _BudgetMeter,
-    costs,
+    costs=None,
 ) -> Tuple[int, Set[int], bool]:
-    """The weighted-objective search: same shape as the reference, with
-    cost sums in place of cardinalities for incumbents and bounds."""
+    """The frozenset search (the oracle the bitmask path must match).
+
+    With ``costs`` incumbents and bounds are cost sums; without, the
+    same arithmetic counts tuples (every cost is 1).
+    """
     best: List = [_ids_cost(seed, costs), set(seed)]
     abandoned: List[int] = [best[0] + 1]  # sentinel above any real bound
 
@@ -503,42 +497,11 @@ def _budgeted_bnb_weighted(
             search(
                 [s for s in remaining if t not in s],
                 chosen,
-                chosen_cost + costs[t],
+                chosen_cost + (1 if costs is None else costs[t]),
             )
             chosen.remove(t)
 
     search(list(sets), set(), 0)
-    completed = abandoned[0] > best[0]
-    lower = best[0] if completed else min(best[0], abandoned[0])
-    return lower, best[1], completed
-
-
-def _budgeted_bnb_reference(
-    sets: Sequence[FrozenSet[int]], seed: Set[int], meter: _BudgetMeter
-) -> Tuple[int, Set[int], bool]:
-    """The frozenset search (the oracle the bitmask path must match)."""
-    best: List = [len(seed), set(seed)]
-    abandoned: List[int] = [len(seed) + 1]  # sentinel above any real bound
-
-    def search(remaining: List[FrozenSet[int]], chosen: Set[int]) -> None:
-        if not remaining:
-            if len(chosen) < best[0]:
-                best[0] = len(chosen)
-                best[1] = set(chosen)
-            return
-        bound = len(chosen) + disjoint_witness_lower_bound(remaining)
-        if bound >= best[0]:
-            return
-        if not meter.spend_node():
-            abandoned[0] = min(abandoned[0], bound)
-            return
-        target = min(remaining, key=len)
-        for t in sorted(target):
-            chosen.add(t)
-            search([s for s in remaining if t not in s], chosen)
-            chosen.remove(t)
-
-    search(list(sets), set())
     completed = abandoned[0] > best[0]
     lower = best[0] if completed else min(best[0], abandoned[0])
     return lower, best[1], completed

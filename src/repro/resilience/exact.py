@@ -209,9 +209,7 @@ def choose_backend(structure: WitnessStructure) -> str:
     that kernelize well stay on the cheap pure-Python path.  The single
     source of truth for every caller that must replicate the automatic
     choice (the parallel coordinator and the incremental session both
-    assemble per-component results under this rule); the planner's
-    default cost model reproduces exactly this threshold from its
-    ``kernel_size`` feature.
+    assemble per-component results under this rule).
     """
     largest = max((len(c.sets) for c in structure.components), default=0)
     if largest > 60 or structure.stats.tuples_final > 40:
@@ -219,42 +217,23 @@ def choose_backend(structure: WitnessStructure) -> str:
     return "bnb"
 
 
-def solver_backend_override() -> Optional[str]:
-    """A forced exact backend, or ``None`` for the per-structure rule.
-
-    Precedence mirrors every other layer: ``REPRO_SOLVER_BACKEND``
-    (``bnb``/``ilp``) wins when set, then an active planner plan whose
-    ``solver`` is not ``"auto"`` (the plan only pins a backend when the
-    kernelized shape was already known at planning time), then ``None``
-    — callers fall through to :func:`choose_backend`.  Both backends
-    return optima of equal value (sets may differ), so the override is
-    value-invisible.
-    """
-    backend = os.environ.get("REPRO_SOLVER_BACKEND")
-    if backend is not None:
-        if backend not in ("bnb", "ilp"):
-            raise ValueError(
-                f"REPRO_SOLVER_BACKEND={backend!r} (expected 'bnb' or 'ilp')"
-            )
-        return backend
-    from repro.planner import active_plan
-
-    plan = active_plan()
-    if plan is not None and plan.solver in ("bnb", "ilp"):
-        return plan.solver
-    return None
-
-
 def effective_backend(structure: WitnessStructure) -> str:
     """The backend an automatic exact solve will actually run.
 
-    :func:`solver_backend_override` when present, else
+    ``REPRO_SOLVER_BACKEND`` (``bnb``/``ilp``) when set, else
     :func:`choose_backend` — used by :func:`resilience_exact` and by
     the parallel coordinator, so serial solves, component tasks, and
-    forced configurations always agree.
+    pinned configurations always agree.  Both backends return optima
+    of equal value (sets may differ), so the pin is value-invisible.
     """
-    forced = solver_backend_override()
-    return forced if forced is not None else choose_backend(structure)
+    backend = os.environ.get("REPRO_SOLVER_BACKEND")
+    if backend is None:
+        return choose_backend(structure)
+    if backend not in ("bnb", "ilp"):
+        raise ValueError(
+            f"REPRO_SOLVER_BACKEND={backend!r} (expected 'bnb' or 'ilp')"
+        )
+    return backend
 
 
 def resilience_exact(

@@ -20,58 +20,25 @@ wraps that pattern with the two idioms every construction here needs:
 All capacities are integers — no ``float("inf")``, no float arithmetic,
 no rounding repair on the way out.
 
-Backend selection (``REPRO_FLOW_BACKEND``)
-------------------------------------------
-``csgraph`` (default)
-    Max flow via :func:`scipy.sparse.csgraph.maximum_flow` over interned
-    integer nodes, with the cut extracted by a residual-graph BFS.  This
-    is the hot path: the flow core runs in C.
-``networkx``
-    The original :func:`networkx.minimum_cut` path, kept as the
-    reference oracle.
-
-Both backends return a minimum cut of the *same value* whose cut is
-induced by a residual partition of a maximum flow — hence
-inclusion-minimal, which is exactly the property Lemma 55 needs when
-one tuple appears as several parallel unit edges (callers additionally
-verify that payload deduplication does not shrink the cut).  The
-concrete cut *sets* may differ: ``csgraph`` extracts the source side
-reachable in the residual graph (the unique minimum cut closest to the
-source), while networkx's partition yields the cut closest to the
-sink.  Each backend is individually deterministic; the property suite
-in ``tests/test_flow_backends.py`` checks value equality and cut
-validity/minimality across backends on the full special-solver zoo.
+Max flow runs on :func:`scipy.sparse.csgraph.maximum_flow` over
+interned integer nodes, with the cut extracted by a residual-graph
+BFS: the flow core runs in C.  The cut returned is induced by the
+residual partition of a maximum flow — the source side reachable in
+the residual graph, i.e. the unique minimum cut closest to the source
+— hence inclusion-minimal, which is exactly the property Lemma 55 needs
+when one tuple appears as several parallel unit edges (callers
+additionally verify that payload deduplication does not shrink the
+cut).  ``tests/test_flow_backends.py`` checks value equality and cut
+validity/minimality against networkx's ``minimum_cut`` (the
+differential reference kept in ``tests/oracles``) on the full
+special-solver zoo.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, List, Set, Tuple
 
 import networkx as nx
-
-
-def flow_backend() -> str:
-    """The min-cut backend: ``REPRO_FLOW_BACKEND``, planner plan, or
-    the ``csgraph`` default.
-
-    The environment variable wins when set; otherwise a solve running
-    under a planner plan (:func:`repro.planner.active_plan`) uses the
-    plan's ``flow`` choice.  Both backends return min cuts of equal
-    value (the certificates may differ — see the module docstring), so
-    the choice is value-invisible either way.
-    """
-    backend = os.environ.get("REPRO_FLOW_BACKEND")
-    if backend is None:
-        from repro.planner import active_plan
-
-        plan = active_plan()
-        backend = plan.flow if plan is not None else "csgraph"
-    if backend not in ("csgraph", "networkx"):
-        raise ValueError(
-            f"REPRO_FLOW_BACKEND={backend!r} (expected 'csgraph' or 'networkx')"
-        )
-    return backend
 
 
 class FlowNetwork:
@@ -145,10 +112,7 @@ class FlowNetwork:
         big_m = sum(
             self.graph.edges[u, v]["capacity"] for u, v in self._unit_edges
         ) + 1
-        if flow_backend() == "networkx":
-            value, reachable = self._min_cut_networkx(big_m)
-        else:
-            value, reachable = self._min_cut_csgraph(big_m)
+        value, reachable = self._max_flow(big_m)
         if value >= big_m:
             raise RuntimeError("min cut is infinite (all-infinite s-t path)")
         payloads = []
@@ -159,19 +123,8 @@ class FlowNetwork:
         return value, payloads
 
     # ------------------------------------------------------------------
-    def _min_cut_networkx(self, big_m: int) -> Tuple[int, Set[Hashable]]:
-        """The reference backend: networkx ``minimum_cut``."""
-        for _u, _v, data in self.graph.edges(data=True):
-            if data["payload"] is None:
-                data["capacity"] = big_m
-        value, partition = nx.minimum_cut(
-            self.graph, self.SOURCE, self.SINK, capacity="capacity"
-        )
-        reachable, _ = partition
-        return int(value), set(reachable)
-
-    def _min_cut_csgraph(self, big_m: int) -> Tuple[int, Set[Hashable]]:
-        """The C-backed backend: scipy csgraph max flow + residual BFS.
+    def _max_flow(self, big_m: int) -> Tuple[int, Set[Hashable]]:
+        """(max-flow value, source side): scipy csgraph + residual BFS.
 
         Nodes are interned to dense integers, capacities go into one
         int64 CSR matrix, and the source side is recovered as the nodes

@@ -33,7 +33,7 @@ from typing import Optional
 
 from repro.planner import (
     DEFAULT_MAX_EXACT_TUPLES,
-    extract_features,
+    endogenous_count,
     is_large_instance,
 )
 from repro.resilience.types import Budget
@@ -41,8 +41,8 @@ from repro.serving.wire import SolveRequest
 
 # Defaults; overridable per-server or via REPRO_SERVING_* (from_env).
 # The sizing threshold itself lives in repro.planner.features — one
-# number shared by admission and the planner's size classifier, so a
-# request this tier reroutes is exactly one the planner calls "large".
+# predicate shared by admission and the plan's size class, so a request
+# this tier reroutes is exactly one the plan calls "large".
 DEFAULT_REROUTE_TIME_LIMIT = 2.0
 DEFAULT_REROUTE_NODE_LIMIT = 200_000
 DEFAULT_MAX_CONCURRENT_SOLVES = 32
@@ -131,23 +131,15 @@ class AdmissionPolicy:
 
         Exogenous tuples are free (they cannot be deleted, so they add
         no hitting-set variables); only endogenous tuples grow the
-        search space the exact solvers explore.  Computed through
-        :func:`repro.planner.extract_features` — the same feature (and
-        the same ``max_exact_tuples`` default) the planner's
-        ``size_class`` uses, so admission and planning can never
-        disagree about what "large" means.
+        search space the exact solvers explore.
         """
-        return self.features(request).endogenous_tuples
+        return endogenous_count(request.database)
 
-    def features(self, request: SolveRequest):
-        """The request's :class:`~repro.planner.PlanFeatures`."""
-        return extract_features(
-            request.database,
-            request.query,
-            mode=request.mode,
-            budget=request.budget,
-            weighted=request.weighted,
-        )
+    def is_oversized(self, request: SolveRequest) -> bool:
+        """Too big for the interactive exact tier?  The plan's
+        ``size_class`` predicate (:func:`repro.planner.is_large_instance`)
+        at this policy's ``max_exact_tuples``."""
+        return is_large_instance(request.database, self.max_exact_tuples)
 
     def admit(self, request: SolveRequest, active_solves: int) -> AdmissionDecision:
         """Decide how (whether) to run ``request``.
@@ -164,12 +156,7 @@ class AdmissionPolicy:
                     f"limit {self.max_concurrent_solves})"
                 ),
             )
-        features = self.features(request)
-        size = features.endogenous_tuples
-        oversized = is_large_instance(
-            features, max_exact_tuples=self.max_exact_tuples
-        )
-        if not oversized:
+        if not self.is_oversized(request):
             return AdmissionDecision(
                 accepted=True,
                 mode=request.mode,
@@ -177,6 +164,7 @@ class AdmissionPolicy:
                 budget=request.budget,
                 tier="interactive",
             )
+        size = self.instance_size(request)
         if request.mode == "anytime":
             # Oversized anytime solves keep their mode but may not run
             # with a looser budget than the batch tier allows.

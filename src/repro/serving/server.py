@@ -108,7 +108,7 @@ class ServerMetrics:
     ``active_solves`` counts solves actually *running* (coalesced
     followers and cache hits run nothing, so they never touch it);
     it is the gauge admission control gates on.  ``plans`` histograms
-    the planner's chosen backend combinations by plan signature, so an
+    the solves by :class:`~repro.planner.Plan` signature, so an
     operator can see *how* the server is solving, not just how often.
     """
 
@@ -397,14 +397,8 @@ class ServingApp:
                          weighted=weighted)
             for db, q in pairs
         ]
-        from repro.planner import is_large_instance
-
         oversized = [
-            i for i, r in enumerate(requests)
-            if is_large_instance(
-                self.policy.features(r),
-                max_exact_tuples=self.policy.max_exact_tuples,
-            )
+            i for i, r in enumerate(requests) if self.policy.is_oversized(r)
         ]
         rerouted = False
         tier = "interactive"
@@ -469,17 +463,16 @@ class ServingApp:
         decision: AdmissionDecision,
         on_interval=None,
     ):
-        from repro.planner import plan_instance, planner_enabled
+        from repro.planner import plan_instance
 
-        if planner_enabled(None):
-            plan = plan_instance(
-                request.database,
-                request.query,
-                mode=decision.mode,
-                budget=decision.budget,
-                weighted=request.weighted,
-            )
-            self.metrics.record_plan(plan.signature())
+        plan = plan_instance(
+            request.database,
+            request.query,
+            mode=decision.mode,
+            budget=decision.budget,
+            weighted=request.weighted,
+        )
+        self.metrics.record_plan(plan.signature())
         self.metrics.solve_started()
         try:
             kwargs: Dict[str, Any] = {

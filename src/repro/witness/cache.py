@@ -99,31 +99,6 @@ def witness_structure(
     return ws
 
 
-def peek_witness_structure(
-    database: Database,
-    query: ConjunctiveQuery,
-    reduce: bool = True,
-    weighted: bool = False,
-) -> Optional[WitnessStructure]:
-    """The cached structure for a pair, or ``None`` — never builds.
-
-    The planner's feature extraction
-    (:func:`repro.planner.features.extract_features`) reads
-    post-kernelization shape through this: a peek must stay cheap and
-    side-effect-free, so it does not count as a hit or miss (the
-    hit/miss deltas are how the batch engine attributes structure
-    builds) and does not refresh LRU recency.
-    """
-    key = (
-        database.canonical_form(),
-        query.canonical_signature(),
-        reduce,
-        weighted,
-    )
-    with _cache_lock:
-        return _cache.get(key)
-
-
 def clear_witness_cache() -> None:
     """Drop every cached structure (and reset the hit/miss counters)."""
     global _hits, _misses

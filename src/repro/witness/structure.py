@@ -49,7 +49,6 @@ directly from the same ids via :meth:`WitnessStructure.incidence_matrix`
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -71,34 +70,6 @@ from repro.query.evaluation import (
     DatabaseIndex,
     _witness_tuple_sets_reference,
 )
-
-
-def _kernel_backend() -> str:
-    """The kernelization backend: env var, planner plan, or default.
-
-    ``bitset`` (default) runs the reduction fixpoint on a padded numpy
-    id matrix with Python-int bitsets over witness rows; ``reference``
-    runs the original frozenset pipeline.  Both produce bit-identical
-    structures (sets, order, forced ids, statistics) — the property
-    suite in ``tests/test_bitset_kernel.py`` enforces it.
-
-    ``REPRO_KERNEL_BACKEND`` wins when set; otherwise a solve running
-    under a planner plan (:func:`repro.planner.active_plan`) uses the
-    plan's ``kernel`` choice.  The small-input guards below
-    (:data:`_BITSET_MIN_SETS`, the width cap) apply in every case —
-    they are output-invisible fast paths, not backend selections.
-    """
-    backend = os.environ.get("REPRO_KERNEL_BACKEND")
-    if backend is None:
-        from repro.planner import active_plan
-
-        plan = active_plan()
-        backend = plan.kernel if plan is not None else "bitset"
-    if backend not in ("bitset", "reference"):
-        raise ValueError(
-            f"REPRO_KERNEL_BACKEND={backend!r} (expected 'bitset' or 'reference')"
-        )
-    return backend
 
 
 class UnbreakableQueryError(ValueError):
@@ -330,7 +301,6 @@ class WitnessStructure:
             and matrix is not None
             and n_raw >= _BITSET_MIN_SETS
             and matrix.shape[1] <= _MINIMAL_SUBSET_ENUM_MAX_LEN
-            and _kernel_backend() == "bitset"
         ):
             # The matrix is already the bitset kernel's working
             # representation — skip the frozenset round-trip.
@@ -552,16 +522,14 @@ def _reduce(
     together with the forced tuples hits every original witness set.
     ``costs`` switches domination to the cost-aware rule.
 
-    Dispatches between the vectorized bitset kernel (default) and the
-    frozenset reference pipeline per :func:`_kernel_backend`; outputs
+    Runs the vectorized bitset kernel; tiny systems (fewer than
+    :data:`_BITSET_MIN_SETS` sets) stay on the frozenset reference
+    pipeline, where per-call numpy overhead would dominate.  Outputs
     are identical either way, including the deterministic
-    ``(len, sorted elements)`` order of the reduced sets.  Tiny systems
-    (fewer than :data:`_BITSET_MIN_SETS` sets) stay on the reference
-    path, where per-call numpy overhead would dominate.
+    ``(len, sorted elements)`` order of the reduced sets.
     """
     if (
-        _kernel_backend() == "reference"
-        or len(sets) < _BITSET_MIN_SETS
+        len(sets) < _BITSET_MIN_SETS
         or any(not s for s in sets)
         # The matrix minimality stage enumerates 2^width subset
         # patterns per row length; wide witness sets stay on the
@@ -869,6 +837,11 @@ def _reduce_matrix(
     return mat, sorted(forced), dominated_total
 
 
+# From this many sets up, component decomposition runs on csgraph; below
+# it the union-find reference is cheaper.  Output-invisible either way.
+_DECOMPOSE_MATRIX_MIN_SETS = 512
+
+
 def _decompose(sets: Sequence[FrozenSet[int]]) -> Tuple[WitnessComponent, ...]:
     """Connected components of the tuple/witness incidence graph.
 
@@ -878,11 +851,7 @@ def _decompose(sets: Sequence[FrozenSet[int]]) -> Tuple[WitnessComponent, ...]:
     components ordered by smallest member id, members ascending, each
     component's sets in input order.
     """
-    if (
-        len(sets) >= 512
-        and _kernel_backend() == "bitset"
-        and all(sets)
-    ):
+    if len(sets) >= _DECOMPOSE_MATRIX_MIN_SETS and all(sets):
         return _decompose_matrix(list(sets))
     return _decompose_reference(sets)
 

@@ -9,13 +9,15 @@ deterministic order, same forced ids, same statistics, same incumbents
 and certified bounds under any node budget.
 """
 
-import os
 import random
-from contextlib import contextmanager
+import sys
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import force_reference_kernel
 
+from repro.resilience import approx
 from repro.resilience.approx import (
     _BudgetMeter,
     _budgeted_bnb,
@@ -25,7 +27,7 @@ from repro.resilience.approx import (
 )
 from repro.resilience.solver import solve
 from repro.resilience.types import Budget
-from repro.witness import clear_witness_cache
+from repro.witness import clear_witness_cache, structure
 from repro.witness.structure import (
     ReductionStats,
     WitnessStructure,
@@ -33,7 +35,6 @@ from repro.witness.structure import (
     _decompose_reference,
     _dominated_matrix,
     _dominated_tuples,
-    _kernel_backend,
     _matrix_from_sets,
     _minimal_matrix,
     _minimal_sets,
@@ -45,22 +46,10 @@ from repro.witness.structure import (
 from repro.workloads import random_database_for_query, random_ssj_binary_cq
 
 
-@contextmanager
-def _env(**overrides):
-    old = {key: os.environ.get(key) for key in overrides}
-    try:
-        for key, value in overrides.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        yield
-    finally:
-        for key, value in old.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+def _kernel(backend):
+    """The engine's bitset kernel, or the frozenset reference on every
+    input size."""
+    return force_reference_kernel() if backend == "reference" else nullcontext()
 
 
 # Random hitting-set instances: ids are drawn sparse on purpose so the
@@ -163,6 +152,44 @@ class TestBudgetedBnB:
         )
         assert _budgeted_bnb(sets, set(seed), _BudgetMeter(Budget())) == reference
 
+    @given(set_systems, st.integers(min_value=0, max_value=200))
+    def test_unit_costs_search_exactly_like_no_costs(self, sets, node_limit):
+        """The frozenset search is one cost-parameterised search: explicit
+        unit costs expand the same tree as ``costs=None`` — same
+        incumbent, bound and completion flag, same nodes spent."""
+        seed = greedy_hitting_set(sets)
+        unit = {t: 1 for s in sets for t in s}
+        for budget in (Budget(), Budget(node_limit=node_limit)):
+            plain_meter = _BudgetMeter(budget)
+            unit_meter = _BudgetMeter(budget)
+            plain = _budgeted_bnb_reference(sets, set(seed), plain_meter)
+            costed = _budgeted_bnb_reference(
+                sets, set(seed), unit_meter, costs=unit
+            )
+            assert costed == plain
+            assert unit_meter.nodes_left == plain_meter.nodes_left
+
+
+class TestReferenceOracle:
+    GUARDS = (
+        (structure, "_BITSET_MIN_SETS"),
+        (structure, "_DECOMPOSE_MATRIX_MIN_SETS"),
+        (approx, "_BNB_BITSET_MIN_SETS"),
+    )
+
+    def test_force_reference_kernel_raises_and_restores_the_guards(self):
+        """Every bitset size guard reads ``sys.maxsize`` inside the
+        context and its own value again afterwards, even when the body
+        raises."""
+        before = [getattr(module, name) for module, name in self.GUARDS]
+        assert structure._DECOMPOSE_MATRIX_MIN_SETS == 512
+        with pytest.raises(RuntimeError):
+            with force_reference_kernel():
+                for module, name in self.GUARDS:
+                    assert getattr(module, name) == sys.maxsize
+                raise RuntimeError("body failed")
+        assert [getattr(module, name) for module, name in self.GUARDS] == before
+
 
 class TestEndToEnd:
     def _instance(self, seed):
@@ -181,7 +208,7 @@ class TestEndToEnd:
             database, query = self._instance(seed)
             built = {}
             for backend in ("reference", "bitset"):
-                with _env(REPRO_KERNEL_BACKEND=backend):
+                with _kernel(backend):
                     try:
                         built[backend] = WitnessStructure.build(database, query)
                     except Exception as exc:
@@ -219,7 +246,7 @@ class TestEndToEnd:
             database, query = self._instance(seed)
             answers = {}
             for backend in ("reference", "bitset"):
-                with _env(REPRO_KERNEL_BACKEND=backend):
+                with _kernel(backend):
                     clear_witness_cache()
                     try:
                         result = solve(database, query, mode=mode, budget=budget)
@@ -240,12 +267,3 @@ class TestEndToEnd:
                         )
             clear_witness_cache()
             assert answers["reference"] == answers["bitset"], seed
-
-    def test_kernel_backend_default_and_validation(self):
-        with _env(REPRO_KERNEL_BACKEND=None):
-            assert _kernel_backend() == "bitset"
-        with _env(REPRO_KERNEL_BACKEND="reference"):
-            assert _kernel_backend() == "reference"
-        with _env(REPRO_KERNEL_BACKEND="typo"):
-            with pytest.raises(ValueError):
-                _kernel_backend()

@@ -1,19 +1,20 @@
 """The csgraph flow backbone against the networkx reference.
 
 The paper's PTIME algorithms (Propositions 12, 13, 31, 33, 36, 41, 44)
-reduce resilience to s-t min cut; ``REPRO_FLOW_BACKEND`` selects
-between scipy's C-backed :func:`~scipy.sparse.csgraph.maximum_flow`
-(default) and the original networkx path.  The contract checked here:
+reduce resilience to s-t min cut on scipy's C-backed
+:func:`~scipy.sparse.csgraph.maximum_flow`; the original networkx path
+lives on as a differential oracle (``tests/oracles``).  The contract
+checked here:
 equal cut *values* everywhere, and every returned cut is a valid,
 inclusion-minimal contingency set (the Lemma 55 property) — the
 concrete sets may differ, since the backends extract different (equally
 minimal) residual cuts.
 """
 
-import os
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import pytest
+from oracles import networkx_flow
 
 from repro.query.zoo import ALL_QUERIES
 from repro.resilience.exact import is_contingency_set, resilience_exact
@@ -27,7 +28,7 @@ from repro.resilience.flow_special import (
     solve_qTS3conf,
     solve_qz3,
 )
-from repro.resilience.flownet import FlowNetwork, flow_backend
+from repro.resilience.flownet import FlowNetwork
 from repro.witness import clear_witness_cache
 from repro.workloads import random_database_for_query
 
@@ -53,17 +54,9 @@ LINEAR_QUERIES = (
 )
 
 
-@contextmanager
 def _backend(name):
-    old = os.environ.get("REPRO_FLOW_BACKEND")
-    os.environ["REPRO_FLOW_BACKEND"] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_FLOW_BACKEND", None)
-        else:
-            os.environ["REPRO_FLOW_BACKEND"] = old
+    """The engine's csgraph min cut, or the networkx oracle."""
+    return networkx_flow() if name == "networkx" else nullcontext()
 
 
 def _assert_minimal_contingency(database, query, result):
@@ -170,6 +163,16 @@ class TestFlowNetworkBackends:
             if data["payload"] is not None:
                 assert data["capacity"] == 1 and type(data["capacity"]) is int
 
+    def test_networkx_oracle_restores_the_engine_max_flow(self):
+        """The oracle patches the one max-flow hook and puts the csgraph
+        path back on exit, even when the body raises."""
+        engine = FlowNetwork._max_flow
+        with pytest.raises(RuntimeError):
+            with networkx_flow():
+                assert FlowNetwork._max_flow is not engine
+                raise RuntimeError("body failed")
+        assert FlowNetwork._max_flow is engine
+
     def test_csgraph_cut_is_source_minimal(self):
         """csgraph extracts the cut closest to the source (the unique
         minimal source side of the residual partition)."""
@@ -181,14 +184,3 @@ class TestFlowNetworkBackends:
             net.add_unit_edge("y_in", "y_out", payload="far")
             net.sink_edge("y_out")
             assert net.min_cut() == (1, ["near"])
-
-    def test_backend_default_and_validation(self):
-        old = os.environ.pop("REPRO_FLOW_BACKEND", None)
-        try:
-            assert flow_backend() == "csgraph"
-        finally:
-            if old is not None:
-                os.environ["REPRO_FLOW_BACKEND"] = old
-        with _backend("typo"):
-            with pytest.raises(ValueError):
-                flow_backend()

@@ -79,3 +79,17 @@ class TestFlowNetwork:
         value, payloads = net.min_cut()
         assert value == 1
         assert payloads in (["near"], ["far"])
+
+
+def test_repro_resilience_is_the_subpackage():
+    """``repro.resilience`` names the subpackage, so dotted imports of
+    its modules work; the ``resilience`` function stays one level down."""
+    import types
+
+    import repro
+    import repro.resilience.flownet as flownet
+
+    assert isinstance(repro.resilience, types.ModuleType)
+    assert flownet.FlowNetwork is FlowNetwork
+    assert repro.resilience.resilience is repro.resilience.solver.resilience
+    assert "resilience" not in repro.__all__

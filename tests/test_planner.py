@@ -1,33 +1,28 @@
-"""Differential and property tests for the cost-based backend planner.
+"""Differential and property tests for the plan record and the engine's
+thresholds.
 
-The planner (:mod:`repro.planner`) chooses a join backend, kernel
-backend, flow backend, exact solver, and sharding strategy per
-instance.  Its load-bearing contract is **output-invisibility**: any
-plan it can emit must produce the same answers as the forced-backend
-reference paths — backend choice may move *time*, never *values,
-certificates, or intervals*.  This module pins that contract three
-ways:
+The engine's per-instance choices are size thresholds, each applied by
+the layer that owns it (:mod:`repro.planner` lists them); the
+:class:`~repro.planner.Plan` record describes an instance through the
+same predicates.  This module pins three contracts:
 
-* a ~200-instance differential matrix (8 query families x seeds, unit
-  and skewed costs, all three solving tiers) comparing the planner's
-  answer against **every** forced backend combination it could have
-  picked — value and interval equality for all combinations (distinct
-  backends may witness distinct optimal sets), full bit-identity
-  against the combination the plan actually chose;
-* hypothesis property suites for feature extraction — purity,
-  invariance under active-domain renaming and declaration order
-  (the machinery of ``tests/test_properties.py``), and monotonicity
-  of the size features under endogenous insertion;
-* determinism pins: plans are pure functions of instance content and
-  model (repeated calls agree; ``workers=1`` and ``workers=2`` batches
-  record identical plan histograms and bit-identical results).
+* **output-invisibility** — a ~200-instance differential matrix (8
+  query families x seeds, unit and skewed costs, all three solving
+  tiers) compares the default answer against **every** pinnable
+  combination of join (``REPRO_JOIN_BACKEND``), kernel
+  (``oracles.force_reference_kernel``), min cut
+  (``oracles.networkx_flow``) and exact solver
+  (``REPRO_SOLVER_BACKEND``): value and interval equality for all
+  combinations (distinct backends may witness distinct optimal sets),
+  full bit-identity against the combination the defaults resolve to;
+* **no drift** — ``plan_instance(...).join``/``.split`` equal the
+  engine predicates, and the join the plan names is the one that runs;
+* **feature properties** (hypothesis) — purity, invariance under
+  active-domain renaming and declaration order, and monotonicity of
+  the size features under endogenous insertion.
 
-It also covers the satellite contracts: admission control and the
-planner share one size feature (a rerouted request is exactly a
-planner-"large" instance), ``repro planner calibrate`` round-trips
-through JSON reproducing identical plans, and a corrupted or missing
-``REPRO_PLANNER_MODEL`` degrades to the static default table with a
-``UserWarning`` — never a failed solve.
+It also covers admission control sharing the plan's size predicate
+and the ``repro planner explain`` command.
 
 Effort (``max_examples``) comes from the hypothesis profile registered
 in ``conftest.py``; do not pin ``max_examples`` here.
@@ -35,43 +30,45 @@ in ``conftest.py``; do not pin ``max_examples`` here.
 
 import itertools
 import json
-from pathlib import Path
+import random
+from contextlib import ExitStack
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles import force_reference_kernel, networkx_flow
 
 from repro.core import solve_batch
+from repro.core.analyzer import COMPONENT_SPLIT_THRESHOLD, split_instance
 from repro.db import Database
 from repro.planner import (
     DEFAULT_MAX_EXACT_TUPLES,
-    DEFAULT_MODEL,
     WITNESS_ESTIMATE_CAP,
-    CostModel,
-    Plan,
-    active_model,
-    calibrate,
-    clear_model_cache,
     extract_features,
     is_large_instance,
-    load_model,
     plan_instance,
-    planner_enabled,
-    use_plan,
+)
+from repro.query.columnar import (
+    MIN_TUPLES_DEFAULT,
+    backend_counters,
+    reset_backend_counters,
+    use_columnar,
 )
 from repro.query.zoo import ALL_QUERIES, q_chain, q_a_chain
-from repro.resilience.exact import effective_backend, solver_backend_override
+from repro.resilience.exact import choose_backend, effective_backend
 from repro.resilience.solver import solve
 from repro.resilience.types import Budget
-from repro.witness import clear_witness_cache, witness_structure
+from repro.witness import (
+    clear_witness_cache,
+    witness_cache_info,
+    witness_structure,
+)
 from repro.workloads import assign_skewed_costs, random_database_for_queries
 
 SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # The differential matrix
@@ -94,14 +91,14 @@ FAMILIES = (
 SEEDS = range(13)
 MODES = ("exact", "approx", "anytime")
 
-# Every backend combination the planner could have picked: the full
+# Every combination the engine's paths can be pinned to: the full
 # cross product of the two-way choices at each layer.
 FORCED_COMBOS = tuple(
     itertools.product(
         ("columnar", "reference"),  # join
         ("bitset", "reference"),    # kernel
-        ("csgraph", "networkx"),    # flow
-        ("bnb", "ilp"),             # solver
+        ("csgraph", "networkx"),    # min cut
+        ("bnb", "ilp"),             # exact solver
     )
 )
 
@@ -126,22 +123,23 @@ def _mode_of(family, seed, skewed):
     return MODES[(FAMILIES.index(family) + seed + skewed) % len(MODES)]
 
 
-def _force(monkeypatch, join, kernel, flow, solver_backend):
-    """Force one backend combination and disable the planner."""
-    monkeypatch.setenv("REPRO_PLANNER", "off")
+def _force(stack, monkeypatch, join, kernel, flow, solver_backend):
+    """Pin one combination for the duration of ``stack``."""
     monkeypatch.setenv("REPRO_JOIN_BACKEND", join)
     # The env join backend keeps its own size gate; forcing columnar
     # means dropping that gate too.
     monkeypatch.setenv("REPRO_COLUMNAR_MIN_TUPLES", "0")
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel)
-    monkeypatch.setenv("REPRO_FLOW_BACKEND", flow)
     monkeypatch.setenv("REPRO_SOLVER_BACKEND", solver_backend)
+    if kernel == "reference":
+        stack.enter_context(force_reference_kernel())
+    if flow == "networkx":
+        stack.enter_context(networkx_flow())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("family", FAMILIES)
 class TestDifferentialMatrix:
-    """Planner answers == forced-backend answers, instance by instance."""
+    """Default answers == pinned answers, instance by instance."""
 
     @pytest.mark.parametrize("skewed", (0, 1), ids=("unit", "skewed"))
     def test_planner_matches_every_forced_combination(
@@ -152,56 +150,52 @@ class TestDifferentialMatrix:
         weighted = bool(skewed)
         budget = ANYTIME_BUDGET if mode == "anytime" else None
 
-        monkeypatch.setenv("REPRO_PLANNER", "on")
         clear_witness_cache()
-        planned = solve(db, query, mode=mode, budget=budget, weighted=weighted)
-        # The cache is now warm, so this plan sees the kernelized shape
-        # and pins the exact solver the planned run resolved to.
+        default = solve(db, query, mode=mode, budget=budget, weighted=weighted)
         plan = plan_instance(
             db, query, mode=mode, budget=budget, weighted=weighted
         )
-        chosen = (plan.join, plan.kernel, plan.flow, plan.solver)
+        # The solver the defaults resolve to; PTIME dispatch never
+        # reaches it, so any pin is the default there.
+        solver = (
+            "bnb"
+            if plan.features.ptime
+            else choose_backend(
+                witness_structure(db, query, weighted=plan.features.weighted)
+            )
+        )
+        chosen = (plan.join, "bitset", "csgraph", solver)
 
         for combo in FORCED_COMBOS:
-            with monkeypatch.context() as forced_env:
-                _force(forced_env, *combo)
+            with monkeypatch.context() as forced_env, ExitStack() as stack:
+                _force(stack, forced_env, *combo)
                 clear_witness_cache()
                 forced = solve(
                     db, query, mode=mode, budget=budget, weighted=weighted
                 )
             # Output-invisibility: every combination returns the same
             # value, and in bounded modes the same certified interval.
-            assert forced.value == planned.value, (combo, plan.signature())
+            assert forced.value == default.value, (combo, plan.signature())
             if mode != "exact":
-                assert forced.interval == planned.interval, (
+                assert forced.interval == default.interval, (
                     combo,
                     plan.signature(),
                 )
             if combo == chosen:
-                # The planner's own answer is bit-identical to forcing
-                # the combination it picked: same value, same witness
-                # set, same method string.
-                assert forced == planned, plan.signature()
+                # Pinning the combination the defaults resolve to is
+                # bit-identical: same value, same witness set, same
+                # method string.
+                assert forced == default, plan.signature()
 
     def test_plans_deterministic_across_repeated_calls(self, family, seed):
         db, query = _instance(family, seed, skewed=0)
         mode = _mode_of(family, seed, 0)
         clear_witness_cache()
-        cold_a = plan_instance(db, query, mode=mode)
-        cold_b = plan_instance(db, query, mode=mode)
-        assert cold_a == cold_b
+        cold = plan_instance(db, query, mode=mode)
+        assert plan_instance(db, query, mode=mode) == cold
         solve(db, query, mode=mode, budget=ANYTIME_BUDGET if mode == "anytime" else None)
-        warm_a = plan_instance(db, query, mode=mode)
-        warm_b = plan_instance(db, query, mode=mode)
-        assert warm_a == warm_b
-        # Warmth may refine the solver choice but never flips a
-        # non-"auto" decision the cold plan already made.
-        assert (cold_a.join, cold_a.kernel, cold_a.flow, cold_a.split) == (
-            warm_a.join,
-            warm_a.kernel,
-            warm_a.flow,
-            warm_a.split,
-        )
+        # Cache state never changes a plan.
+        assert plan_instance(db, query, mode=mode) == cold
 
 
 class TestBatchPlanDeterminism:
@@ -217,9 +211,9 @@ class TestBatchPlanDeterminism:
     def test_workers_1_and_2_agree_bit_identically(self):
         pairs = self._mixed_batch()
         clear_witness_cache()
-        serial = solve_batch(pairs, workers=1, planner=True)
+        serial = solve_batch(pairs, workers=1)
         clear_witness_cache()
-        parallel = solve_batch(pairs, workers=2, planner=True)
+        parallel = solve_batch(pairs, workers=2)
         assert list(serial.results) == list(parallel.results)
         assert dict(serial.stats.plans) == dict(parallel.stats.plans)
         assert sum(serial.stats.plans.values()) == len(pairs)
@@ -227,19 +221,115 @@ class TestBatchPlanDeterminism:
     def test_plans_surface_in_batch_summary(self):
         pairs = self._mixed_batch()
         clear_witness_cache()
-        batch = solve_batch(pairs, workers=1, planner=True)
+        batch = solve_batch(pairs, workers=1)
         assert any(
             line.startswith("plans: ") for line in batch.stats.summary_lines()
         )
 
-    def test_planner_off_records_no_plans_and_same_values(self):
-        pairs = self._mixed_batch()
+
+# ---------------------------------------------------------------------------
+# The plan record cannot drift from the engine's own predicates
+# ---------------------------------------------------------------------------
+
+class TestPlanMatchesEnginePredicates:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_pairs(self, seed):
+        rng = random.Random(seed)
+        family = rng.choice(FAMILIES)
+        query = ALL_QUERIES[family]
+        # Sizes straddle the columnar gate (128 tuples).
+        db = random_database_for_queries(
+            [query],
+            domain_size=rng.randint(3, 14),
+            density=rng.uniform(0.2, 0.6),
+            seed=seed,
+        )
+        plan = plan_instance(db, query)
+        assert plan.join == ("columnar" if use_columnar(db) else "reference")
+        assert plan.split == split_instance(db)
+        # The join the plan names is the one the enumeration runs.
         clear_witness_cache()
-        on = solve_batch(pairs, workers=1, planner=True)
+        reset_backend_counters()
+        try:
+            witness_structure(db, query)
+        except ValueError:
+            pass  # unbreakable instance: enumeration still ran
+        ran = backend_counters()
+        assert ran["columnar"] + ran["fallback"] == (plan.join == "columnar")
+        assert ran["reference"] == (plan.join == "reference")
+
+    def test_snapshot_backed_database_joins_columnar(self, tmp_path):
+        from repro.storage import ingest_database, open_stored_database
+
+        db = Database()
+        db.declare("R", 2)
+        for i in range(20):
+            db.add("R", i, i + 1)
+        assert len(db) < MIN_TUPLES_DEFAULT
+        stored = open_stored_database(ingest_database(db, tmp_path / "snap"))
+        plan = plan_instance(stored, q_chain)
+        assert use_columnar(stored) and plan.join == "columnar"
+        assert plan.size_class == "out-of-core"
+        assert plan.split == split_instance(stored)
+        assert plan_instance(db, q_chain).join == "reference"
+
+    def test_thresholds_match_the_historical_values(self):
+        """Columnar from 128 total tuples, split from 400 endogenous
+        tuples, interactive up to 2000 endogenous tuples."""
+        assert MIN_TUPLES_DEFAULT == 128
+        assert COMPONENT_SPLIT_THRESHOLD == 400
+        assert DEFAULT_MAX_EXACT_TUPLES == 2000
+
+        def db_of(n, exogenous=0):
+            db = Database()
+            db.declare("R", 2)
+            db.declare("E", 2, exogenous=True)
+            for i in range(n):
+                db.add("R", i, i + 1)
+            for i in range(exogenous):
+                db.add("E", i, i)
+            return db
+
+        assert not use_columnar(db_of(127))
+        assert use_columnar(db_of(128))
+        assert not split_instance(db_of(399))
+        assert split_instance(db_of(400))
+        # Exogenous tuples never grow the search, so they do not split.
+        assert not split_instance(db_of(399, exogenous=50))
+        assert split_instance(db_of(1), split_components=0)
+        assert not split_instance(db_of(10**3), split_components=False)
+        assert not is_large_instance(db_of(2000))
+        assert is_large_instance(db_of(2001))
+
+
+# ---------------------------------------------------------------------------
+# Precedence: explicit kwarg > env var pin > threshold default
+# ---------------------------------------------------------------------------
+
+class TestPrecedence:
+    def test_env_var_beats_choose_backend_for_the_solver(self, monkeypatch):
+        db, query = _instance("q_chain", seed=0, skewed=0)
+        ws = witness_structure(db, query)
+        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
+        assert effective_backend(ws) == choose_backend(ws)
+        for pinned in ("bnb", "ilp"):
+            monkeypatch.setenv("REPRO_SOLVER_BACKEND", pinned)
+            assert effective_backend(ws) == pinned
+
+    def test_invalid_solver_backend_env_raises(self, monkeypatch):
+        db, query = _instance("q_chain", seed=0, skewed=0)
+        ws = witness_structure(db, query)
+        monkeypatch.setenv("REPRO_SOLVER_BACKEND", "simplex")
+        with pytest.raises(ValueError, match="REPRO_SOLVER_BACKEND"):
+            effective_backend(ws)
+
+    def test_explicit_method_kwarg_beats_everything(self):
+        """method='exact' forces the hitting-set path even for a
+        PTIME-dispatched query."""
+        db, query = _instance("q_perm", seed=1, skewed=0)
         clear_witness_cache()
-        off = solve_batch(pairs, workers=1, planner=False)
-        assert on.values() == off.values()
-        assert dict(off.stats.plans) == {}
+        result = solve(db, query, method="exact")
+        assert result.method in ("branch-and-bound", "ilp")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +357,7 @@ class TestFeatureProperties:
     @given(edges)
     @SETTINGS
     def test_features_are_pure(self, edge_list):
-        """Same pair, same cache state -> the very same features."""
+        """Same pair -> the very same features."""
         db = chain_db(edge_list)
         assert extract_features(db, q_chain) == extract_features(db, q_chain)
 
@@ -285,10 +375,9 @@ class TestFeatureProperties:
         renamed.declare("R", 2)
         for (u, v) in edge_list:
             renamed.add("R", f"n{u}", f"n{v}")  # injective renaming
-        clear_witness_cache()
-        before = extract_features(db, q_chain)
-        after = extract_features(renamed, q_chain)
-        assert before == after
+        assert extract_features(db, q_chain) == extract_features(
+            renamed, q_chain
+        )
         assert plan_instance(db, q_chain).signature() == plan_instance(
             renamed, q_chain
         ).signature()
@@ -312,7 +401,6 @@ class TestFeatureProperties:
         for (u, v) in reversed(edge_list):
             backward.add("R", u, v)
         backward.declare("A", 1)
-        clear_witness_cache()
         assert extract_features(forward, q_a_chain) == extract_features(
             backward, q_a_chain
         )
@@ -330,6 +418,18 @@ class TestFeatureProperties:
         assert after.endogenous_tuples >= before.endogenous_tuples
         assert after.witness_estimate >= before.witness_estimate
 
+    def test_planning_leaves_the_witness_cache_untouched(self):
+        """Features come from tuple counts alone: planning neither
+        builds nor looks up a witness structure, so the cache telemetry
+        is unchanged."""
+        db, query = _instance("q_chain", seed=3, skewed=0)
+        clear_witness_cache()
+        witness_structure(db, query)
+        before = witness_cache_info()
+        plan_instance(db, query)
+        extract_features(db, query)
+        assert witness_cache_info() == before
+
     @given(edges)
     @SETTINGS
     def test_witness_estimate_bounds(self, edge_list):
@@ -340,80 +440,9 @@ class TestFeatureProperties:
             len(edge_list) ** 2, WITNESS_ESTIMATE_CAP
         )
 
-    def test_kernel_features_appear_only_with_a_cached_structure(self):
-        db, query = _instance("q_chain", seed=5, skewed=0)
-        clear_witness_cache()
-        cold = extract_features(db, query)
-        assert cold.kernel_components is None
-        assert cold.kernel_size is None
-        ws = witness_structure(db, query)
-        warm = extract_features(db, query)
-        assert warm.kernel_components == len(ws.components)
-        assert warm.kernel_tuples == ws.stats.tuples_final
-        assert warm.kernel_size is not None
-
-    def test_cache_peek_does_not_disturb_cache_telemetry(self):
-        from repro.witness import witness_cache_info
-
-        db, query = _instance("q_chain", seed=6, skewed=0)
-        clear_witness_cache()
-        before = witness_cache_info()
-        extract_features(db, query)
-        assert witness_cache_info() == before
-
 
 # ---------------------------------------------------------------------------
-# Precedence: explicit kwarg > env var > plan > static default
-# ---------------------------------------------------------------------------
-
-class TestPrecedence:
-    def test_env_var_beats_plan_for_the_solver(self, monkeypatch):
-        db, query = _instance("q_chain", seed=0, skewed=0)
-        ws = witness_structure(db, query)
-        plan = plan_instance(db, query)
-        pinned = Plan(
-            join=plan.join,
-            kernel=plan.kernel,
-            flow=plan.flow,
-            solver="ilp",
-            split=plan.split,
-            size_class=plan.size_class,
-            model_version=plan.model_version,
-            features=plan.features,
-        )
-        with use_plan(pinned):
-            assert effective_backend(ws) == "ilp"
-            monkeypatch.setenv("REPRO_SOLVER_BACKEND", "bnb")
-            assert effective_backend(ws) == "bnb"
-
-    def test_invalid_solver_backend_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_BACKEND", "simplex")
-        with pytest.raises(ValueError, match="REPRO_SOLVER_BACKEND"):
-            solver_backend_override()
-
-    def test_planner_enabled_precedence_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
-        assert planner_enabled(None) is True  # default on
-        monkeypatch.setenv("REPRO_PLANNER", "off")
-        assert planner_enabled(None) is False
-        assert planner_enabled(True) is True  # explicit beats env
-        monkeypatch.setenv("REPRO_PLANNER", "maybe")
-        with pytest.raises(ValueError, match="REPRO_PLANNER"):
-            planner_enabled(None)
-
-    def test_explicit_method_kwarg_beats_everything(self, monkeypatch):
-        """method='exact' forces the hitting-set path even for a
-        PTIME-dispatched query — planner on or off."""
-        db, query = _instance("q_perm", seed=1, skewed=0)
-        for planner_env in ("on", "off"):
-            monkeypatch.setenv("REPRO_PLANNER", planner_env)
-            clear_witness_cache()
-            result = solve(db, query, method="exact")
-            assert result.method in ("branch-and-bound", "ilp")
-
-
-# ---------------------------------------------------------------------------
-# Admission control and the planner share one size gate
+# Admission control and the plan share one size predicate
 # ---------------------------------------------------------------------------
 
 class TestAdmissionPlannerConsistency:
@@ -434,9 +463,8 @@ class TestAdmissionPlannerConsistency:
         decision = policy.admit(request, active_solves=0)
         assert decision.accepted and decision.rerouted
         assert decision.mode == "anytime"
-        # The same feature, the same threshold, the same verdict.
-        features = policy.features(request)
-        assert is_large_instance(features)
+        # The same predicate, the same threshold, the same verdict.
+        assert is_large_instance(db)
         assert plan_instance(db, q_chain).size_class == "large"
 
     def test_small_request_is_interactive_and_planner_small(self):
@@ -469,85 +497,44 @@ class TestAdmissionPlannerConsistency:
         db, query = _instance("q_chain", seed=4, skewed=0)
         request = SolveRequest(db, query, mode="exact")
         decision = policy.admit(request, active_solves=0)
-        features = policy.features(request)
         assert decision.rerouted == is_large_instance(
-            features, max_exact_tuples=policy.max_exact_tuples
+            db, max_exact_tuples=policy.max_exact_tuples
         )
 
 
 # ---------------------------------------------------------------------------
-# Calibration round-trip and model fallback
+# Plan shape and the explain command
 # ---------------------------------------------------------------------------
 
-BENCH_RECORDS = (
-    "BENCH_e18_hotpaths.json",
-    "BENCH_e19_serving.json",
-    "BENCH_e20_weighted.json",
-)
+class TestPlanShape:
+    def test_plan_signature_and_dict_are_stable(self):
+        db, query = _instance("q_chain", seed=10, skewed=0)
+        plan = plan_instance(db, query)
+        assert plan.signature() == "join=reference,split=no,size=small"
+        payload = plan.features.as_dict()
+        assert payload["endogenous_tuples"] == len(db)
+        json.dumps(payload)  # serializable for explain / bench records
 
+    def test_solve_builds_no_plan_and_batches_do(self, monkeypatch):
+        """A single solve applies the predicates directly and builds no
+        plan; solve_batch plans each unique pair once for
+        ``stats.plans``."""
+        import repro.planner
 
-def _bench_records():
-    records = []
-    for name in BENCH_RECORDS:
-        with open(REPO_ROOT / name) as handle:
-            records.append((name, json.load(handle)))
-    return records
+        calls = []
+        planned = repro.planner.plan_instance
 
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return planned(*args, **kwargs)
 
-def _sample_instances():
-    for family in ("q_chain", "q_perm", "q_lin"):
-        for seed in (0, 7):
-            yield _instance(family, seed, skewed=0)
-
-
-class TestCalibration:
-    def test_calibrate_is_deterministic_and_versioned(self):
-        records = _bench_records()
-        model_a = calibrate(records)
-        model_b = calibrate(records)
-        assert model_a == model_b
-        assert model_a.version.startswith("cal-")
-        assert model_a.source == BENCH_RECORDS
-
-    def test_round_trip_reproduces_identical_plans(self, tmp_path):
-        model = calibrate(_bench_records())
-        path = model.save(tmp_path / "model.json")
-        loaded = load_model(path)
-        assert loaded == model
-        clear_witness_cache()
-        for db, query in _sample_instances():
-            assert plan_instance(db, query, model=loaded) == plan_instance(
-                db, query, model=model
-            )
-
-    def test_calibrated_crossovers_match_the_default_table(self):
-        """Calibration refits slopes from measured speedups but keeps
-        every crossover at the shipped threshold, so calibrated plans
-        equal default plans (only the model version differs)."""
-        model = calibrate(_bench_records())
-        clear_witness_cache()
-        for db, query in _sample_instances():
-            assert (
-                plan_instance(db, query, model=model).signature()
-                == plan_instance(db, query, model=DEFAULT_MODEL).signature()
-            )
-
-    def test_calibrate_requires_the_e18_record(self):
-        records = [r for r in _bench_records() if r[0] != BENCH_RECORDS[0]]
-        with pytest.raises(ValueError, match="e18_hotpaths"):
-            calibrate(records)
-
-    def test_cli_calibrate_json_round_trip(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "model.json"
-        argv = ["planner", "calibrate"]
-        argv += [str(REPO_ROOT / name) for name in BENCH_RECORDS]
-        argv += ["--json", str(out)]
-        assert main(argv) == 0
-        loaded = load_model(out)
-        assert loaded.version.startswith("cal-")
-        assert "REPRO_PLANNER_MODEL" in capsys.readouterr().out
+        monkeypatch.setattr(repro.planner, "plan_instance", counting)
+        db, query = _instance("q_chain", seed=4, skewed=0)
+        solve(db, query)
+        assert calls == []
+        batch = solve_batch([(db, query), (db, query)], workers=1)
+        assert len(calls) == 1
+        assert sum(batch.stats.plans.values()) == 1
 
     def test_cli_explain_smoke(self, tmp_path, capsys):
         from repro.cli import main
@@ -560,95 +547,3 @@ class TestCalibration:
         output = capsys.readouterr().out
         assert "plan: join=" in output
         assert "endogenous_tuples" in output
-
-
-class TestModelFallback:
-    def test_missing_model_file_falls_back_with_a_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER_MODEL", "/nonexistent/model.json")
-        clear_model_cache()
-        with pytest.warns(UserWarning, match="falling back"):
-            model = active_model()
-        assert model == DEFAULT_MODEL
-
-    def test_corrupted_model_file_falls_back_with_a_warning(
-        self, monkeypatch, tmp_path
-    ):
-        bad = tmp_path / "model.json"
-        bad.write_text("{not json")
-        monkeypatch.setenv("REPRO_PLANNER_MODEL", str(bad))
-        clear_model_cache()
-        with pytest.warns(UserWarning, match="falling back"):
-            model = active_model()
-        assert model == DEFAULT_MODEL
-        # Wrong schema is rejected just as loudly.
-        bad.write_text(json.dumps({"schema": 999, "kind": "planner-cost-model"}))
-        clear_model_cache()
-        with pytest.warns(UserWarning, match="falling back"):
-            assert active_model() == DEFAULT_MODEL
-
-    def test_solves_survive_a_corrupted_model(self, monkeypatch, tmp_path):
-        bad = tmp_path / "model.json"
-        bad.write_text("[]")
-        monkeypatch.setenv("REPRO_PLANNER_MODEL", str(bad))
-        clear_model_cache()
-        db, query = _instance("q_chain", seed=9, skewed=0)
-        clear_witness_cache()
-        with pytest.warns(UserWarning):
-            degraded = solve(db, query)
-        monkeypatch.delenv("REPRO_PLANNER_MODEL")
-        clear_model_cache()
-        clear_witness_cache()
-        assert degraded == solve(db, query)
-
-    def test_valid_model_file_is_used_and_memoized(self, monkeypatch, tmp_path):
-        path = DEFAULT_MODEL.save(tmp_path / "model.json")
-        monkeypatch.setenv("REPRO_PLANNER_MODEL", str(path))
-        clear_model_cache()
-        assert active_model() == DEFAULT_MODEL
-        assert active_model() is active_model()  # memoized by mtime
-
-
-# ---------------------------------------------------------------------------
-# Plan shape and serialization
-# ---------------------------------------------------------------------------
-
-class TestPlanShape:
-    def test_plan_signature_and_dict_are_stable(self):
-        db, query = _instance("q_chain", seed=10, skewed=0)
-        clear_witness_cache()
-        plan = plan_instance(db, query)
-        assert plan.signature().startswith("join=")
-        payload = plan.to_dict()
-        assert payload["model_version"] == DEFAULT_MODEL.version
-        assert payload["features"]["endogenous_tuples"] == len(db)
-        json.dumps(payload)  # serializable into BatchStats / metrics
-
-    def test_default_model_choices_match_historical_thresholds(self):
-        # Join: columnar from 128 total tuples (ties to columnar).
-        assert DEFAULT_MODEL.choose("join", 127) == "reference"
-        assert DEFAULT_MODEL.choose("join", 128) == "columnar"
-        # Kernel and flow: the engine backends at every size.
-        assert DEFAULT_MODEL.choose("kernel", 0) == "bitset"
-        assert DEFAULT_MODEL.choose("kernel", 10**6) == "bitset"
-        assert DEFAULT_MODEL.choose("flow", 10**6) == "csgraph"
-        # Solver: ILP strictly above kernel_size 60 (ties to bnb,
-        # replicating choose_backend's strict > comparisons).
-        assert DEFAULT_MODEL.choose("solver", 60) == "bnb"
-        assert DEFAULT_MODEL.choose("solver", 61) == "ilp"
-        # Shard: split from 400 endogenous tuples.
-        assert DEFAULT_MODEL.choose("shard", 399) == "whole"
-        assert DEFAULT_MODEL.choose("shard", 400) == "split"
-
-    def test_solver_pin_agrees_with_choose_backend(self):
-        """When the plan pins a solver from cached kernel features, it
-        is the same backend choose_backend derives from the structure."""
-        from repro.resilience.exact import choose_backend
-
-        for family in ("q_chain", "q_3chain", "q_sj1_rats"):
-            for seed in (0, 3, 11):
-                db, query = _instance(family, seed, skewed=0)
-                clear_witness_cache()
-                ws = witness_structure(db, query)
-                plan = plan_instance(db, query)
-                if plan.solver != "auto" and ws.satisfied:
-                    assert plan.solver == choose_backend(ws)

@@ -5,10 +5,10 @@ zoo queries alike — cross-checked every way the engine can disagree
 with itself:
 
 * **kernels** — the frozenset reference and the bitset matrix kernel
-  (``REPRO_KERNEL_BACKEND``) must produce identical weighted results
+  (``oracles.force_reference_kernel``) must produce identical weighted results
   (value, contingency set, method) in every mode;
-* **flow backends** — networkx and scipy csgraph min-cut
-  (``REPRO_FLOW_BACKEND``) must produce equal weighted *values* with
+* **flow backends** — networkx (``oracles.networkx_flow``) and scipy
+  csgraph min-cut must produce equal weighted *values* with
   valid certificates paying exactly that value (minimum cuts are not
   unique, so the sets may legitimately differ — the same caveat as the
   unweighted tier, see ``docs/api.md``);
@@ -22,11 +22,11 @@ with itself:
   picks come back run after run and worker count after worker count.
 """
 
-import os
 import random
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import pytest
+from oracles import force_reference_kernel, networkx_flow
 
 from repro.core.analyzer import solve_batch
 from repro.query.zoo import ALL_QUERIES
@@ -48,24 +48,6 @@ from repro.workloads import assign_skewed_costs, random_database_for_query
 PTIME_QUERIES = ("q_perm", "q_Aperm", "q_lin")
 HARD_QUERIES = ("q_chain", "q_3chain", "q_sj1_rats", "q_conf", "q_triangle_sj1")
 SEEDS_PER_QUERY = 25
-
-
-@contextmanager
-def _env(**overrides):
-    old = {key: os.environ.get(key) for key in overrides}
-    try:
-        for key, value in overrides.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        yield
-    finally:
-        for key, value in old.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 def _matrix_queries():
@@ -102,7 +84,11 @@ class TestKernelBackendsAgreeWeighted:
             db, query = _instance(name, seed)
             answers = {}
             for backend in ("reference", "bitset"):
-                with _env(REPRO_KERNEL_BACKEND=backend):
+                with (
+                    force_reference_kernel()
+                    if backend == "reference"
+                    else nullcontext()
+                ):
                     clear_witness_cache()
                     res = _weighted_exact(db, query)
                 answers[backend] = (
@@ -127,7 +113,9 @@ class TestFlowBackendsAgreeWeighted:
                 db, query = _instance(name, seed)
                 results = {}
                 for backend in ("networkx", "csgraph"):
-                    with _env(REPRO_FLOW_BACKEND=backend):
+                    with (
+                        networkx_flow() if backend == "networkx" else nullcontext()
+                    ):
                         clear_witness_cache()
                         results[backend] = _weighted_exact(db, query)
                 a, b = results["networkx"], results["csgraph"]
