@@ -3,8 +3,9 @@
 Three drop-in engine layers replaced the pure-Python hot paths behind
 every tier (PR 5): the columnar witness join (``repro.query.columnar``),
 the bitset hitting-set kernel (``repro.witness.structure`` +
-``repro.resilience.approx``), and the scipy csgraph flow backbone
-(``repro.resilience.flownet``).  The original implementations are
+``repro.resilience.approx``), and the integer-capacity flow layer
+(``repro.resilience.flownet``, now a pure-Python Dinic on flat edge
+arrays).  The original implementations are
 timed as reference oracles: the backtracking join via
 ``REPRO_JOIN_BACKEND=reference``, the frozenset kernel and the networkx
 min cut through ``tests/oracles`` (``force_reference_kernel`` /
@@ -219,7 +220,7 @@ FLOW_INSTANCES = (
 
 
 def test_layer_c_flow_solves(benchmark):
-    """Gate: ≥2x faster flow-tier solves on the csgraph backbone,
+    """Gate: ≥2x faster flow-tier solves on the engine's flow layer,
     values identical."""
     instances = []
     for name, fn, domain, density in FLOW_INSTANCES:

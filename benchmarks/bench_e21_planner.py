@@ -111,7 +111,6 @@ def _config_key(join, solver):
 
 def _warm_imports():
     """Pay one-time import costs outside the timed region (E18 idiom)."""
-    import networkx  # noqa: F401
     import scipy.optimize  # noqa: F401
     import scipy.sparse  # noqa: F401
     import scipy.sparse.csgraph  # noqa: F401

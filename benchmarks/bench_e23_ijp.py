@@ -4,8 +4,8 @@ rediscovery, resume.
 The Appendix C.2 search (:mod:`repro.ijp`) enumerates set partitions of
 ``k`` canonical query copies and runs the Definition 48 checker over
 each merged database.  The distributed engine replaces the recursive
-one-partition-at-a-time walk (kept as
-:func:`repro.ijp.search.ijp_search_reference`) with restricted-growth-
+one-partition-at-a-time walk (kept as the test oracle
+``oracles.ijp_search_reference``) with restricted-growth-
 string batches over numpy, sound prefix pruning, vectorized leaf
 screens, and an exact hitting-set prescreen for condition 5 — then
 shards the space into worker-independent lexicographic ranges with
@@ -44,13 +44,13 @@ import time
 from pathlib import Path
 
 import pytest
+from oracles import reference_partition_check
 
 import repro
-from repro.ijp.checker import check_ijp, find_ijp_pair
+from repro.ijp.checker import check_ijp
 from repro.ijp.rgs import bell_number
-from repro.ijp.search import _merge_copies, set_partitions
+from repro.ijp.search import set_partitions
 from repro.ijp.sweep import certificate_is_proper, sweep_range
-from repro.query.evaluation import satisfies
 from repro.query.zoo import q_triangle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -68,7 +68,8 @@ RESULTS = {}
 
 def _reference_partitions_per_second(k: int, limit: int) -> dict:
     """Time the pre-vectorization per-partition check — exactly
-    :func:`ijp_search_reference`'s loop body, minus the early exit —
+    ``ijp_search_reference``'s loop body
+    (``oracles.reference_partition_check``), minus the early exit —
     on a slice strided uniformly across the space.  A lexicographic
     *prefix* would flatter the baseline: early RGS codes merge most
     constants into few blocks, so their databases are small and cheap
@@ -85,9 +86,7 @@ def _reference_partitions_per_second(k: int, limit: int) -> dict:
     ):
         checked += 1
         started = time.perf_counter()
-        db = _merge_copies(q_triangle, k, partition)
-        if satisfies(db, q_triangle):
-            find_ijp_pair(db, q_triangle)
+        reference_partition_check(q_triangle, k, partition)
         seconds += time.perf_counter() - started
     return {
         "partitions": checked,

@@ -188,10 +188,9 @@ DEFAULT_BENCH_QUERIES = (
 
 
 def _warm_imports() -> None:
-    """Pay one-time library import costs (HiGHS, networkx, csgraph)
-    before timing anything, so whichever strategy runs first is not
+    """Pay one-time library import costs (HiGHS, csgraph) before
+    timing anything, so whichever strategy runs first is not
     penalized."""
-    import networkx  # noqa: F401
     import scipy.optimize  # noqa: F401
     import scipy.sparse  # noqa: F401
     import scipy.sparse.csgraph  # noqa: F401

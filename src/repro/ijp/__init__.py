@@ -13,8 +13,8 @@ generalized vertex-cover reduction (Definition 48, Conjecture 49):
   condition-5 hitting-set prescreen, engine-probe certification;
 * :mod:`repro.ijp.search` — the Appendix C.2 procedure (Example 62):
   enumerate canonical join copies and constant partitions, test each
-  merged database; :func:`ijp_search_reference` keeps the recursive
-  baseline the vectorized engine is benchmarked against;
+  merged database (the recursive baseline the vectorized engine is
+  benchmarked against is a test oracle, in ``tests/oracles``);
 * :mod:`repro.ijp.sweep` — the sharded, resumable, distributed sweep
   and the standing open-conjecture table (``docs/ijp.md``);
 * :mod:`repro.ijp.examples` — the paper's concrete IJP databases
@@ -26,7 +26,6 @@ from repro.ijp.rgs import bell_number, rgs_from_partition, shard_space
 from repro.ijp.search import (
     canonical_database,
     ijp_search,
-    ijp_search_reference,
     set_partitions,
 )
 from repro.ijp.space import (
@@ -63,7 +62,6 @@ __all__ = [
     "rgs_from_partition",
     "shard_space",
     "ijp_search",
-    "ijp_search_reference",
     "canonical_database",
     "set_partitions",
     "IJPCertificate",

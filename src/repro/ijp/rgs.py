@@ -62,30 +62,6 @@ def bell_number(n: int) -> int:
     return restricted_bell(n, 1)
 
 
-def rgs_reference(n: int) -> Iterator[Tuple[int, ...]]:
-    """Recursive reference enumeration of all RGS of length ``n``.
-
-    Lexicographic order; the vectorized expansion below must agree with
-    this exactly (pinned by a hypothesis test), mirroring how the
-    recursive ``set_partitions`` generator is kept as the checked
-    baseline of the Appendix C.2 rewrite.
-    """
-    if n == 0:
-        yield ()
-        return
-
-    def rec(prefix: List[int], ceiling: int) -> Iterator[Tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for digit in range(ceiling + 2):
-            prefix.append(digit)
-            yield from rec(prefix, max(ceiling, digit))
-            prefix.pop()
-
-    yield from rec([], -1)
-
-
 def blocks_from_rgs(code: Sequence[int]) -> List[List[int]]:
     """The partition blocks (index lists) an RGS encodes, in order of
     first appearance."""

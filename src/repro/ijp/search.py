@@ -17,10 +17,11 @@ before ever calling the exact resilience solver.  :func:`ijp_search`
 runs on the vectorized restricted-growth-string engine
 (:mod:`repro.ijp.rgs`, :mod:`repro.ijp.space`): lexicographic numpy
 enumeration, sound subtree pruning, batched condition-5 probes through
-the solver front door.  The original recursive walk survives as
-:func:`ijp_search_reference` / :func:`set_partitions` — the
-differential baseline benchmark E23 measures the speedup against —
-and the sharded, resumable version lives in :mod:`repro.ijp.sweep`.
+the solver front door.  The original recursive enumerator survives as
+:func:`set_partitions`; with it, the recursive search
+(``ijp_search_reference`` in ``tests/oracles``) is the differential
+baseline benchmark E23 measures the speedup against.  The sharded,
+resumable version lives in :mod:`repro.ijp.sweep`.
 
 **Reproduction finding.**  Definition 48, read literally, is satisfied
 by degenerate databases for some *PTIME* queries: e.g. for
@@ -38,12 +39,11 @@ record this; the search remains empty, as expected, on
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.db.database import Database
-from repro.ijp.checker import IJPReport, check_ijp, find_ijp_pair
+from repro.ijp.checker import IJPReport, check_ijp
 from repro.query.cq import ConjunctiveQuery
-from repro.query.evaluation import satisfies
 from repro.workloads.random_db import declare_vocabulary
 
 
@@ -93,35 +93,6 @@ def _merge_copies(
                 *(representative[(tag, v)] for v in atom.args),
             )
     return db
-
-
-def ijp_search_reference(
-    query: ConjunctiveQuery,
-    max_joins: int = 3,
-    partition_budget: int = 200_000,
-) -> Optional[IJPReport]:
-    """The pre-vectorization Appendix C.2 search, kept verbatim as the
-    differential baseline: one recursive partition at a time, one
-    full Definition 48 check per merged database.  Benchmark E23's
-    speedup gate and the pruning-soundness tests compare
-    :func:`ijp_search` against this."""
-    for k in range(1, max_joins + 1):
-        constants = [(tag, v) for tag in range(k) for v in sorted(query.variables())]
-        budget = partition_budget
-        for partition in set_partitions(constants):
-            budget -= 1
-            if budget < 0:
-                break
-            db = _merge_copies(query, k, partition)
-            if not satisfies(db, query):
-                continue  # pragma: no cover - canonical copies always satisfy
-            report = find_ijp_pair(db, query)
-            if report is not None:
-                report.reasons.append(
-                    f"found with {k} join copies, partition {partition}"
-                )
-                return report
-    return None
 
 
 def ijp_search(

@@ -7,58 +7,119 @@ E21 benchmarks) that check the fast paths against them:
 * :func:`nx_min_cut` — networkx's ``minimum_cut`` on a
   :class:`~repro.resilience.flownet.FlowNetwork` (the original flow
   backend); :func:`networkx_flow` routes every ``min_cut`` through it;
+* :func:`nx_source_minimal_cut` — the engine's cut contract computed
+  independently: networkx's maximum flow, then the source side of its
+  residual graph, so the cut *sets* must match the engine's exactly;
 * :func:`force_reference_kernel` — raises the bitset size guards of the
   kernel, the component decomposition and the budgeted search to
   ``sys.maxsize``, so every instance takes the frozenset reference
-  pipelines.
+  pipelines;
+* :func:`ijp_search_reference` — the pre-vectorization Appendix C.2
+  IJP search, one recursive partition at a time
+  (:func:`reference_partition_check` is its loop body), and
+  :func:`rgs_reference`, the recursive restricted-growth-string
+  enumeration the vectorized ``repro.ijp.rgs`` engine must match.
 """
 
 import sys
 from contextlib import contextmanager
-from typing import Hashable, List, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import networkx as nx
 
+from repro.ijp.checker import IJPReport, find_ijp_pair
+from repro.ijp.search import _merge_copies, set_partitions
+from repro.query.cq import ConjunctiveQuery
+from repro.query.evaluation import satisfies
 from repro.resilience import approx
 from repro.resilience.flownet import FlowNetwork
 from repro.witness import structure
 
-__all__ = ["force_reference_kernel", "networkx_flow", "nx_min_cut"]
+__all__ = [
+    "force_reference_kernel",
+    "ijp_search_reference",
+    "networkx_flow",
+    "nx_min_cut",
+    "nx_source_minimal_cut",
+    "reference_partition_check",
+    "rgs_reference",
+]
 
 
-def _nx_max_flow(network: FlowNetwork, big_m: int) -> Tuple[int, Set[Hashable]]:
-    """``FlowNetwork._max_flow`` on networkx: (value, source side).
+def _nx_graph(network: FlowNetwork, big_m: int) -> nx.DiGraph:
+    """A fresh networkx copy of ``network``, big-M on the infinite edges."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from((network.SOURCE, network.SINK))
+    for u, v, capacity, _payload in network.edges():
+        graph.add_edge(u, v, capacity=big_m if capacity is None else capacity)
+    return graph
 
-    networkx's partition yields the cut closest to the *sink*, so the
-    cut sets may differ from the engine's (source-closest) cut while
-    the values agree.
+
+def _nx_max_flow(network: FlowNetwork, big_m: int) -> Tuple[int, List[bool]]:
+    """``FlowNetwork._max_flow`` on networkx: (value, source side by
+    node id).
+
+    networkx's ``minimum_cut`` partition yields the cut closest to the
+    *sink*, so the cut sets may differ from the engine's
+    (source-closest) cut while the values agree.
     """
-    graph = network.graph
-    # Infinite edges carry capacity None until solve time; big-M them
-    # in place (the csgraph path ignores the stored value).
-    for _u, _v, data in graph.edges(data=True):
-        if data["payload"] is None:
-            data["capacity"] = big_m
     value, (reachable, _) = nx.minimum_cut(
+        _nx_graph(network, big_m), network.SOURCE, network.SINK,
+        capacity="capacity",
+    )
+    return int(value), [node in reachable for node in network._index]
+
+
+def _nx_residual_max_flow(
+    network: FlowNetwork, big_m: int
+) -> Tuple[int, List[bool]]:
+    """``FlowNetwork._max_flow`` on networkx's maximum flow, with the
+    source side read off its residual graph by a search of our own."""
+    graph = _nx_graph(network, big_m)
+    value, flow = nx.maximum_flow(
         graph, network.SOURCE, network.SINK, capacity="capacity"
     )
-    return int(value), set(reachable)
+    reachable = {network.SOURCE}
+    stack = [network.SOURCE]
+    while stack:
+        u = stack.pop()
+        forward = (
+            v for v, data in graph.succ[u].items()
+            if flow[u][v] < data["capacity"]
+        )
+        backward = (v for v in graph.pred[u] if flow[v][u] > 0)
+        for v in (*forward, *backward):
+            if v not in reachable:
+                reachable.add(v)
+                stack.append(v)
+    return int(value), [node in reachable for node in network._index]
 
 
 @contextmanager
-def networkx_flow():
-    """Route every :meth:`FlowNetwork.min_cut` through networkx."""
+def _route_max_flow(max_flow):
     original = FlowNetwork._max_flow
-    FlowNetwork._max_flow = _nx_max_flow
+    FlowNetwork._max_flow = max_flow
     try:
         yield
     finally:
         FlowNetwork._max_flow = original
 
 
+def networkx_flow():
+    """Route every :meth:`FlowNetwork.min_cut` through networkx."""
+    return _route_max_flow(_nx_max_flow)
+
+
 def nx_min_cut(network: FlowNetwork) -> Tuple[int, List]:
     """``network.min_cut()`` computed by networkx."""
     with networkx_flow():
+        return network.min_cut()
+
+
+def nx_source_minimal_cut(network: FlowNetwork) -> Tuple[int, List]:
+    """``network.min_cut()`` on networkx's maximum flow, cut at the
+    residual source side — the engine's cut, computed independently."""
+    with _route_max_flow(_nx_residual_max_flow):
         return network.min_cut()
 
 
@@ -83,3 +144,59 @@ def force_reference_kernel():
     finally:
         for (module, name), value in zip(_BITSET_GUARDS, saved):
             setattr(module, name, value)
+
+
+def reference_partition_check(
+    query: ConjunctiveQuery, k: int, partition: List[List]
+) -> Optional[IJPReport]:
+    """One step of the reference IJP walk: merge ``k`` canonical copies
+    under ``partition`` and run the full Definition 48 check."""
+    db = _merge_copies(query, k, partition)
+    if not satisfies(db, query):
+        return None  # pragma: no cover - canonical copies always satisfy
+    return find_ijp_pair(db, query)
+
+
+def ijp_search_reference(
+    query: ConjunctiveQuery,
+    max_joins: int = 3,
+    partition_budget: int = 200_000,
+) -> Optional[IJPReport]:
+    """The pre-vectorization Appendix C.2 search: one recursive
+    partition at a time, one full Definition 48 check per merged
+    database.  Benchmark E23's speedup gate and the pruning-soundness
+    tests compare :func:`repro.ijp.ijp_search` against this."""
+    for k in range(1, max_joins + 1):
+        constants = [(tag, v) for tag in range(k) for v in sorted(query.variables())]
+        budget = partition_budget
+        for partition in set_partitions(constants):
+            budget -= 1
+            if budget < 0:
+                break
+            report = reference_partition_check(query, k, partition)
+            if report is not None:
+                report.reasons.append(
+                    f"found with {k} join copies, partition {partition}"
+                )
+                return report
+    return None
+
+
+def rgs_reference(n: int) -> Iterator[Tuple[int, ...]]:
+    """Recursive enumeration of all restricted growth strings of length
+    ``n``, in lexicographic order; ``repro.ijp.rgs``'s vectorized
+    expansion must agree with it exactly."""
+    if n == 0:
+        yield ()
+        return
+
+    def rec(prefix: List[int], ceiling: int) -> Iterator[Tuple[int, ...]]:
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for digit in range(ceiling + 2):
+            prefix.append(digit)
+            yield from rec(prefix, max(ceiling, digit))
+            prefix.pop()
+
+    yield from rec([], -1)

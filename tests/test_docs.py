@@ -176,6 +176,8 @@ def test_performance_page_documents_the_engine_knobs():
         "REPRO_COLUMNAR_MIN_TUPLES",
         "tests/oracles",
         "REPRO_COLUMNAR_CHUNK_ROWS",
+        "Dinic",
+        "nx_source_minimal_cut",
         "BENCH_e18_hotpaths.json",
         "bench --json",
     ):
@@ -410,7 +412,7 @@ def test_api_page_documents_the_ijp_surface():
         "sweep_space",
         "sweep_range",
         "standing_sweep",
-        "ijp_search_reference",
+        "ijp_search(",
         "IJPCertificate",
         "OPEN_QUERY_STATUS",
         "certificate_is_proper",

@@ -1,14 +1,12 @@
-"""The csgraph flow backbone against the networkx reference.
+"""The engine's min cut against the networkx reference.
 
 The paper's PTIME algorithms (Propositions 12, 13, 31, 33, 36, 41, 44)
-reduce resilience to s-t min cut on scipy's C-backed
-:func:`~scipy.sparse.csgraph.maximum_flow`; the original networkx path
-lives on as a differential oracle (``tests/oracles``).  The contract
-checked here:
-equal cut *values* everywhere, and every returned cut is a valid,
-inclusion-minimal contingency set (the Lemma 55 property) — the
-concrete sets may differ, since the backends extract different (equally
-minimal) residual cuts.
+reduce resilience to s-t min cut on the engine's pure-Python Dinic max
+flow; the original networkx path lives on as a differential oracle
+(``tests/oracles``).  The contract checked here: equal cut *values*
+everywhere, and every returned cut is a valid, inclusion-minimal
+contingency set (the Lemma 55 property) — networkx's concrete sets may
+differ, since its ``minimum_cut`` extracts the cut closest to the sink.
 """
 
 from contextlib import nullcontext
@@ -32,7 +30,7 @@ from repro.resilience.flownet import FlowNetwork
 from repro.witness import clear_witness_cache
 from repro.workloads import random_database_for_query
 
-BACKENDS = ("csgraph", "networkx")
+BACKENDS = ("engine", "networkx")
 
 # The full zoo of bespoke special-case solvers (name -> callable).
 SPECIAL_SOLVERS = {
@@ -55,7 +53,7 @@ LINEAR_QUERIES = (
 
 
 def _backend(name):
-    """The engine's csgraph min cut, or the networkx oracle."""
+    """The engine's min cut, or the networkx oracle."""
     return networkx_flow() if name == "networkx" else nullcontext()
 
 
@@ -85,11 +83,11 @@ class TestSpecialSolverZoo:
             for backend in BACKENDS:
                 with _backend(backend):
                     results[backend] = fn(database, query)
-            assert results["csgraph"].value == results["networkx"].value
+            assert results["engine"].value == results["networkx"].value
             clear_witness_cache()
             assert (
                 resilience_exact(database, query).value
-                == results["csgraph"].value
+                == results["engine"].value
             )
             for backend in BACKENDS:
                 _assert_minimal_contingency(database, query, results[backend])
@@ -110,11 +108,11 @@ class TestLinearFlow:
             for backend in BACKENDS:
                 with _backend(backend):
                     results[backend] = solver.solve(database)
-            assert results["csgraph"].value == results["networkx"].value
+            assert results["engine"].value == results["networkx"].value
             clear_witness_cache()
             assert (
                 resilience_exact(database, query).value
-                == results["csgraph"].value
+                == results["engine"].value
             )
             for backend in BACKENDS:
                 _assert_minimal_contingency(database, query, results[backend])
@@ -159,13 +157,13 @@ class TestFlowNetworkBackends:
             value, payloads = net.min_cut()
         assert value == 5 and type(value) is int
         assert sorted(payloads) == [0, 1, 2, 3, 4]
-        for _u, _v, data in net.graph.edges(data=True):
-            if data["payload"] is not None:
-                assert data["capacity"] == 1 and type(data["capacity"]) is int
+        for _u, _v, capacity, payload in net.edges():
+            if payload is not None:
+                assert capacity == 1 and type(capacity) is int
 
     def test_networkx_oracle_restores_the_engine_max_flow(self):
-        """The oracle patches the one max-flow hook and puts the csgraph
-        path back on exit, even when the body raises."""
+        """The oracle patches the one max-flow hook and puts the engine's
+        back on exit, even when the body raises."""
         engine = FlowNetwork._max_flow
         with pytest.raises(RuntimeError):
             with networkx_flow():
@@ -173,14 +171,13 @@ class TestFlowNetworkBackends:
                 raise RuntimeError("body failed")
         assert FlowNetwork._max_flow is engine
 
-    def test_csgraph_cut_is_source_minimal(self):
-        """csgraph extracts the cut closest to the source (the unique
-        minimal source side of the residual partition)."""
-        with _backend("csgraph"):
-            net = FlowNetwork()
-            net.source_edge("x_in")
-            net.add_unit_edge("x_in", "x_out", payload="near")
-            net.add_inf_edge("x_out", "y_in")
-            net.add_unit_edge("y_in", "y_out", payload="far")
-            net.sink_edge("y_out")
-            assert net.min_cut() == (1, ["near"])
+    def test_engine_cut_is_source_minimal(self):
+        """The engine extracts the cut closest to the source (the
+        unique minimal source side of the residual partition)."""
+        net = FlowNetwork()
+        net.source_edge("x_in")
+        net.add_unit_edge("x_in", "x_out", payload="near")
+        net.add_inf_edge("x_out", "y_in")
+        net.add_unit_edge("y_in", "y_out", payload="far")
+        net.sink_edge("y_out")
+        assert net.min_cut() == (1, ["near"])

@@ -1,5 +1,10 @@
 """Tests for the flow-network helper."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.resilience.flownet import FlowNetwork
@@ -66,7 +71,35 @@ class TestFlowNetwork:
         net = FlowNetwork()
         net.add_inf_edge("u", "v")
         net.add_inf_edge("u", "v")
-        assert net.graph.number_of_edges() == 1
+        assert net.number_of_edges() == 1
+
+    def test_accessors(self):
+        """``edges()`` yields (u, v, capacity, payload) in insertion
+        order, infinite edges as capacity None; ``has_node`` knows the
+        terminals and every endpoint; ``graph`` is the network."""
+        net = FlowNetwork()
+        net.source_edge("a")
+        net.add_unit_edge("a", "b", payload="ab", capacity=3)
+        net.sink_edge("b")
+        assert list(net.edges()) == [
+            (net.SOURCE, "a", None, None),
+            ("a", "b", 3, "ab"),
+            ("b", net.SINK, None, None),
+        ]
+        for node in (net.SOURCE, net.SINK, "a", "b"):
+            assert net.has_node(node)
+        assert not net.has_node("c")
+        assert net.graph is net and net.graph.number_of_edges() == 3
+
+    def test_rejected_unit_edge_adds_nothing(self):
+        net = FlowNetwork()
+        with pytest.raises(ValueError):
+            net.add_unit_edge("u", "v", payload=1, capacity=0)
+        assert not net.has_node("u") and net.number_of_edges() == 0
+        net.add_inf_edge("u", "v")
+        with pytest.raises(ValueError):
+            net.add_unit_edge("u", "v", payload=1)
+        assert list(net.edges()) == [("u", "v", None, None)]
 
     def test_series_cuts_pay_once(self):
         """With two equal unit cuts in series, exactly one is charged."""
@@ -93,3 +126,16 @@ def test_repro_resilience_is_the_subpackage():
     assert flownet.FlowNetwork is FlowNetwork
     assert repro.resilience.resilience is repro.resilience.solver.resilience
     assert "resilience" not in repro.__all__
+
+
+def test_import_repro_does_not_load_networkx():
+    """networkx is a test oracle and a display helper only: a plain
+    ``import repro`` must not load it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; assert 'networkx' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import ijp_search_reference, rgs_reference
 
 from repro.db import Database, DBTuple
 from repro.ijp import (
@@ -16,7 +17,6 @@ from repro.ijp import (
     example_61_failed,
     find_ijp_pair,
     ijp_search,
-    ijp_search_reference,
     set_partitions,
 )
 from repro.ijp import rgs as rgs_mod
@@ -187,7 +187,7 @@ class TestRGS:
 
     @given(st.integers(min_value=0, max_value=6))
     def test_leaf_batches_match_reference_enumeration(self, n):
-        reference = list(rgs_mod.rgs_reference(n))
+        reference = list(rgs_reference(n))
         leaves = [
             tuple(int(d) for d in row)
             for batch in rgs_mod.iter_leaf_batches(n)
@@ -202,12 +202,12 @@ class TestRGS:
             for batch in rgs_mod.iter_leaf_batches(n, max_rows=max_rows)
             for row in batch.codes
         ]
-        assert small == list(rgs_mod.rgs_reference(n))
+        assert small == list(rgs_reference(n))
 
     @given(st.integers(min_value=1, max_value=7))
     def test_partition_roundtrip(self, n):
         items = [("t", i) for i in range(n)]
-        for code in rgs_mod.rgs_reference(n):
+        for code in rgs_reference(n):
             partition = rgs_mod.partition_from_rgs(code, items)
             assert rgs_mod.rgs_from_partition(partition, items) == code
 
@@ -241,7 +241,7 @@ class TestRGS:
             for batch in rgs_mod.iter_leaf_batches(n, shard.codes, shard.maxes):
                 leaves.extend(tuple(int(d) for d in row) for row in batch.codes)
         assert total == rgs_mod.bell_number(n)
-        assert leaves == list(rgs_mod.rgs_reference(n))
+        assert leaves == list(rgs_reference(n))
 
 
 class TestSpaceEngine:

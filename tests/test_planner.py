@@ -97,7 +97,7 @@ FORCED_COMBOS = tuple(
     itertools.product(
         ("columnar", "reference"),  # join
         ("bitset", "reference"),    # kernel
-        ("csgraph", "networkx"),    # min cut
+        ("engine", "networkx"),     # min cut
         ("bnb", "ilp"),             # exact solver
     )
 )
@@ -164,7 +164,7 @@ class TestDifferentialMatrix:
                 witness_structure(db, query, weighted=plan.features.weighted)
             )
         )
-        chosen = (plan.join, "bitset", "csgraph", solver)
+        chosen = (plan.join, "bitset", "engine", solver)
 
         for combo in FORCED_COMBOS:
             with monkeypatch.context() as forced_env, ExitStack() as stack:

@@ -7,11 +7,11 @@ with itself:
 * **kernels** — the frozenset reference and the bitset matrix kernel
   (``oracles.force_reference_kernel``) must produce identical weighted results
   (value, contingency set, method) in every mode;
-* **flow backends** — networkx (``oracles.networkx_flow``) and scipy
-  csgraph min-cut must produce equal weighted *values* with
+* **flow backends** — networkx (``oracles.networkx_flow``) and the
+  engine's Dinic min cut must produce equal weighted *values* with
   valid certificates paying exactly that value (minimum cuts are not
-  unique, so the sets may legitimately differ — the same caveat as the
-  unweighted tier, see ``docs/api.md``);
+  unique, so networkx's set may legitimately differ — the same caveat
+  as the unweighted tier, see ``docs/api.md``);
 * **solver tiers** — branch-and-bound and the ILP oracle must agree
   exactly, and the LP/greedy approx bounds must enclose the optimum;
 * **execution plans** — ``solve_batch`` over the matrix must return
@@ -101,7 +101,7 @@ class TestKernelBackendsAgreeWeighted:
 
 
 class TestFlowBackendsAgreeWeighted:
-    def test_networkx_and_csgraph_values_equal(self):
+    def test_networkx_and_engine_values_equal(self):
         """Every flow-routed instance of the matrix: equal min-cost
         values, both certificates valid and paying exactly the value."""
         flow_cases = 0
@@ -112,13 +112,13 @@ class TestFlowBackendsAgreeWeighted:
             for seed in range(SEEDS_PER_QUERY):
                 db, query = _instance(name, seed)
                 results = {}
-                for backend in ("networkx", "csgraph"):
+                for backend in ("networkx", "engine"):
                     with (
                         networkx_flow() if backend == "networkx" else nullcontext()
                     ):
                         clear_witness_cache()
                         results[backend] = _weighted_exact(db, query)
-                a, b = results["networkx"], results["csgraph"]
+                a, b = results["networkx"], results["engine"]
                 if a is None or b is None:
                     assert a is None and b is None, (name, seed)
                     continue
