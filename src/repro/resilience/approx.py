@@ -311,6 +311,17 @@ def _prune_redundant(
     return kept
 
 
+def _tuple_rows(sets: Sequence[FrozenSet[int]]) -> Dict[int, int]:
+    """Each tuple's row bitset: bit ``r`` is set when ``sets[r]``
+    contains the tuple."""
+    rows: Dict[int, int] = {}
+    for r, s in enumerate(sets):
+        bit = 1 << r
+        for t in s:
+            rows[t] = rows.get(t, 0) | bit
+    return rows
+
+
 # Local-search effort caps: both are *count*-based, never clock-based,
 # so results stay deterministic across machines.
 _SWAP_PASSES = 4
@@ -323,9 +334,13 @@ def _local_search(
     """Improve a feasible hitting set by redundancy pruning and 2-for-1 swaps.
 
     A swap replaces two chosen tuples ``a < b`` with one unchosen tuple
-    ``t`` that hits every witness only ``a`` or ``b`` were hitting
-    (computed from per-tuple row lists and hit counts, so a pair check
-    costs the two tuples' degrees, not a scan of all witnesses).
+    ``t`` that hits every witness only ``a`` or ``b`` were hitting.
+    Witness ``r`` is bit ``r`` of each tuple's row bitset, and each pass
+    layers the chosen rows into the witnesses hit exactly ``once`` and
+    exactly ``twice``, so a pair check is a handful of whole-int
+    AND/ORs: ``must_hit`` is the pair's once-hit rows plus the
+    twice-hit rows containing both, and the candidates are the
+    unchosen tuples of its lowest row whose rows contain ``must_hit``.
     Passes repeat until a fixpoint or the deterministic effort caps are
     reached; the output is always feasible and never costlier than the
     input.  With ``costs`` a swap is applied only when the replacement
@@ -333,44 +348,42 @@ def _local_search(
     (not the cardinality) monotonically improves.
     """
     chosen = _prune_redundant(sets, chosen, costs=costs)
+    rows = _tuple_rows(sets)
     for _ in range(_SWAP_PASSES):
         improved = False
-        cover = [len(s & chosen) for s in sets]
-        rows_of: Dict[int, List[int]] = {}
-        for r, s in enumerate(sets):
-            for t in s:
-                if t in chosen:
-                    rows_of.setdefault(t, []).append(r)
+        # Saturating hit counters, one bitset per level: hit1 >= 1,
+        # hit2 >= 2, hit3 >= 3 chosen tuples.
+        hit1 = hit2 = hit3 = 0
+        for t in chosen:
+            row = rows[t]
+            hit3 |= hit2 & row
+            hit2 |= hit1 & row
+            hit1 |= row
+        once = hit1 ^ hit2
+        twice = hit2 ^ hit3
         ordered = sorted(chosen)
         pairs = 0
         for i, a in enumerate(ordered):
-            if improved:
+            if improved or pairs > _SWAP_PAIRS_PER_PASS:
                 break
-            rows_a = rows_of.get(a, [])
+            row_a = rows[a]
             for b in ordered[i + 1:]:
                 pairs += 1
                 if pairs > _SWAP_PAIRS_PER_PASS:
                     break
-                rows_b = rows_of.get(b, [])
-                # Witness rows left unhit if both a and b are removed:
-                # singly-covered rows of either, plus doubly-covered
-                # rows containing both.
-                b_rows = set(rows_b)
-                must_hit = (
-                    [r for r in rows_a if cover[r] == 1]
-                    + [r for r in rows_b if cover[r] == 1]
-                    + [r for r in rows_a if r in b_rows and cover[r] == 2]
-                )
+                row_b = rows[b]
+                # Witness rows left unhit if both a and b are removed.
+                must_hit = ((row_a | row_b) & once) | (row_a & row_b & twice)
                 if not must_hit:
                     # a and b are jointly redundant — drop both.
                     chosen = _prune_redundant(sets, chosen - {a, b}, costs=costs)
                     improved = True
                     break
-                candidates = set(sets[must_hit[0]]) - chosen
-                for r in must_hit[1:]:
-                    candidates &= sets[r]
-                    if not candidates:
-                        break
+                lowest = (must_hit & -must_hit).bit_length() - 1
+                candidates = [
+                    t for t in sets[lowest]
+                    if t not in chosen and rows[t] & must_hit == must_hit
+                ]
                 if candidates:
                     if costs is None:
                         pick = min(candidates)
@@ -383,8 +396,6 @@ def _local_search(
                     )
                     improved = True
                     break
-            else:
-                continue
         if not improved:
             break
     return chosen
@@ -418,14 +429,9 @@ class _BudgetMeter:
         return True
 
 
-# Above this many distinct tuples per component the bitmask search
-# falls back to the frozenset reference (masks would span many machine
-# words while witness sets stay tiny).  Both paths explore identically.
-_BNB_BITSET_MAX_TUPLES = 4096
-
-# Below this many witness sets the search is trivial and the per-call
-# mask conversion costs more than it saves; the dispatch is
-# output-invisible (both paths return identical results).
+# Below this many witness sets the search is trivial and building the
+# bitsets costs more than it saves; the dispatch is output-invisible
+# (both paths return identical results).
 _BNB_BITSET_MIN_SETS = 12
 
 
@@ -447,17 +453,16 @@ def _budgeted_bnb(
     Returns ``(lower_bound, incumbent_set, completed)``; when
     ``completed`` is True the incumbent is exactly optimal.
 
-    Unweighted searches over at least :data:`_BNB_BITSET_MIN_SETS`
-    witness sets run on Python-int bitmasks over the component's tuple
-    universe (AND/OR/popcount per node); the rest run the frozenset
-    search, which also serves the weighted objective (cost sums in
-    place of cardinalities).  Exploration order, node accounting,
-    incumbents, and bounds are identical either way.
+    Every unweighted search over at least :data:`_BNB_BITSET_MIN_SETS`
+    witness sets runs on transposed bitsets, one bit per witness, so
+    its per-node cost scales with the witness count whatever the
+    number of tuples; the rest run the frozenset search, which also
+    serves the weighted objective (cost sums in place of
+    cardinalities).  Exploration order, node accounting, incumbents,
+    and bounds are identical either way.
     """
     if costs is None and len(sets) >= _BNB_BITSET_MIN_SETS:
-        universe = sorted({t for s in sets for t in s})
-        if len(universe) <= _BNB_BITSET_MAX_TUPLES:
-            return _budgeted_bnb_bitset(sets, seed, meter, universe)
+        return _budgeted_bnb_bitset(sets, seed, meter)
     return _budgeted_bnb_reference(sets, seed, meter, costs)
 
 
@@ -467,7 +472,7 @@ def _budgeted_bnb_reference(
     meter: _BudgetMeter,
     costs=None,
 ) -> Tuple[int, Set[int], bool]:
-    """The frozenset search (the oracle the bitmask path must match).
+    """The frozenset search (the oracle the bitset path must match).
 
     With ``costs`` incumbents and bounds are cost sums; without, the
     same arithmetic counts tuples (every cost is 1).
@@ -511,104 +516,90 @@ def _budgeted_bnb_bitset(
     sets: Sequence[FrozenSet[int]],
     seed: Set[int],
     meter: _BudgetMeter,
-    universe: List[int],
 ) -> Tuple[int, Set[int], bool]:
-    """The bitmask mirror of :func:`_budgeted_bnb_reference`.
+    """The transposed-bitset mirror of :func:`_budgeted_bnb_reference`.
 
-    Tuple ids are remapped to dense local bits (ascending, so every
-    ordering tie-break coincides with the reference), witness sets
-    become int masks, and each node's work — filtering hit witnesses,
-    the disjoint-packing bound, branching on the smallest unhit witness
-    — reduces to AND/OR/popcount.
+    Witnesses are ordered by (size, input position), the reference's
+    stable size sort, and witness ``j`` of that order is bit ``j``.  A
+    node's unhit witnesses are one int, and choosing tuple ``t`` keeps
+    ``remaining & misses[t]``, where ``misses[t]`` clears the witnesses
+    containing ``t``.  In this order the reference's two
+    order-sensitive steps are whole-int operations: its branch target
+    (the first smallest unhit witness) is the lowest set bit, and its
+    greedy disjoint packing repeatedly takes the lowest available
+    witness and clears every witness sharing a tuple with it.  Those
+    conflict rows are built on first use and kept, so memory grows
+    with the witnesses the search touches, not with their square.
     """
-    local = {t: i for i, t in enumerate(universe)}
-    popcount = int.bit_count
-    # Holding the witness list sorted by (popcount, input position) —
-    # an invariant filtering preserves, since masks never shrink —
-    # makes the reference's two order-sensitive steps free: its packing
-    # bound iterates exactly this order (stable sort by size), and its
-    # branch target (first smallest witness in input order) is simply
-    # the head of the list.
-    masks = sorted(
-        (_mask_from_ids(local[t] for t in s) for s in sets), key=popcount
-    )
+    order = sorted(sets, key=len)
+    width = len(order)
+    full = (1 << width) - 1
+    rows = _tuple_rows(order)
+    misses = {t: full ^ row for t, row in rows.items()}
+    members = [sorted(s) for s in order]
+    # disjoint_from[j]: the witnesses sharing no tuple with witness j
+    # (j itself excluded), or None until the packing first takes j.
+    disjoint_from: List[Optional[int]] = [None] * width
+
+    def packing(avail: int, threshold: int) -> int:
+        """Size of the greedy disjoint packing of ``avail``, counted up
+        to ``threshold`` at most (the caller prunes at the threshold)."""
+        count = 0
+        while avail:
+            j = (avail & -avail).bit_length() - 1
+            count += 1
+            if count >= threshold:
+                break
+            keep = disjoint_from[j]
+            if keep is None:
+                conflict = 1 << j
+                for t in members[j]:
+                    conflict |= rows[t]
+                keep = disjoint_from[j] = full ^ conflict
+            avail &= keep
+        return count
+
     best_count = [len(seed)]
     best_set: List[Set[int]] = [set(seed)]
     abandoned = [len(seed) + 1]  # sentinel above any real bound
+    chosen: List[int] = []
 
-    def packing_bound(remaining: List[int]) -> int:
-        used = 0
-        count = 0
-        for mask in remaining:
-            if not (mask & used):
-                used |= mask
-                count += 1
-        return count
-
-    def search(
-        remaining: List[int], packing: int, chosen: int, n_chosen: int
-    ) -> None:
-        # ``packing`` is packing_bound(remaining), computed by the
-        # parent in the same pass that filtered the list.
+    def search(remaining: int, packed: int) -> None:
+        # ``packed`` is the packing bound of ``remaining``, computed by
+        # the parent when it built the child.
+        n_chosen = len(chosen)
         if not remaining:
             if n_chosen < best_count[0]:
                 best_count[0] = n_chosen
-                best_set[0] = {universe[i] for i in _iter_bits(chosen)}
+                best_set[0] = set(chosen)
             return
-        bound = n_chosen + packing
+        bound = n_chosen + packed
         if bound >= best_count[0]:
             return
         if not meter.spend_node():
             abandoned[0] = min(abandoned[0], bound)
             return
-        target = remaining[0]
-        for i in _iter_bits(target):
+        for t in members[(remaining & -remaining).bit_length() - 1]:
             # A child node prunes (before spending a node or touching
             # the incumbent/abandoned state) as soon as its packing
             # bound reaches best - (n_chosen + 1); the partial packing
             # count only grows, so the moment it crosses the threshold
-            # the recursion can be skipped without building the rest of
-            # the child — outcomes and node accounting are unchanged.
+            # the recursion can be skipped without finishing the
+            # packing — outcomes and node accounting are unchanged.
             threshold = best_count[0] - n_chosen - 1
             if threshold <= 0:
                 break
-            bit = 1 << i
-            child: List[int] = []
-            append = child.append
-            used = 0
-            count = 0
-            for mask in remaining:
-                if mask & bit:
-                    continue
-                append(mask)
-                if not (mask & used):
-                    used |= mask
-                    count += 1
-                    if count >= threshold:
-                        break
-            else:
-                search(child, count, chosen | bit, n_chosen + 1)
+            child = remaining & misses[t]
+            count = packing(child, threshold)
+            if count < threshold:
+                chosen.append(t)
+                search(child, count)
+                chosen.pop()
 
-    search(masks, packing_bound(masks), 0, 0)
+    search(full, packing(full, width + 1))
     completed = abandoned[0] > best_count[0]
     lower = best_count[0] if completed else min(best_count[0], abandoned[0])
     return lower, best_set[0], completed
-
-
-def _mask_from_ids(ids) -> int:
-    """OR together ``1 << i`` for every local id."""
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return mask
-
-
-def _iter_bits(mask: int):
-    """The set bits of ``mask``, ascending (= sorted local ids)."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------

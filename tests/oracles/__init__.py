@@ -18,12 +18,23 @@ E21 benchmarks) that check the fast paths against them:
   IJP search, one recursive partition at a time
   (:func:`reference_partition_check` is its loop body), and
   :func:`rgs_reference`, the recursive restricted-growth-string
-  enumeration the vectorized ``repro.ijp.rgs`` engine must match.
+  enumeration the vectorized ``repro.ijp.rgs`` engine must match;
+* :func:`local_search_reference` — the list-based 2-for-1 swap local
+  search the bitset ``approx._local_search`` must match exactly.
 """
 
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -32,12 +43,18 @@ from repro.ijp.search import _merge_copies, set_partitions
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import satisfies
 from repro.resilience import approx
+from repro.resilience.approx import (
+    _SWAP_PAIRS_PER_PASS,
+    _SWAP_PASSES,
+    _prune_redundant,
+)
 from repro.resilience.flownet import FlowNetwork
 from repro.witness import structure
 
 __all__ = [
     "force_reference_kernel",
     "ijp_search_reference",
+    "local_search_reference",
     "networkx_flow",
     "nx_min_cut",
     "nx_source_minimal_cut",
@@ -200,3 +217,76 @@ def rgs_reference(n: int) -> Iterator[Tuple[int, ...]]:
             prefix.pop()
 
     yield from rec([], -1)
+
+
+def local_search_reference(
+    sets: Sequence[FrozenSet[int]], chosen: Set[int], costs=None
+) -> Set[int]:
+    """Improve a feasible hitting set by redundancy pruning and 2-for-1 swaps.
+
+    A swap replaces two chosen tuples ``a < b`` with one unchosen tuple
+    ``t`` that hits every witness only ``a`` or ``b`` were hitting
+    (computed from per-tuple row lists and hit counts, so a pair check
+    costs the two tuples' degrees, not a scan of all witnesses).
+    Passes repeat until a fixpoint or the deterministic effort caps are
+    reached; the output is always feasible and never costlier than the
+    input.  With ``costs`` a swap is applied only when the replacement
+    is strictly cheaper than the pair it evicts, so the cost objective
+    (not the cardinality) monotonically improves.
+    """
+    chosen = _prune_redundant(sets, chosen, costs=costs)
+    for _ in range(_SWAP_PASSES):
+        improved = False
+        cover = [len(s & chosen) for s in sets]
+        rows_of: Dict[int, List[int]] = {}
+        for r, s in enumerate(sets):
+            for t in s:
+                if t in chosen:
+                    rows_of.setdefault(t, []).append(r)
+        ordered = sorted(chosen)
+        pairs = 0
+        for i, a in enumerate(ordered):
+            if improved:
+                break
+            rows_a = rows_of.get(a, [])
+            for b in ordered[i + 1:]:
+                pairs += 1
+                if pairs > _SWAP_PAIRS_PER_PASS:
+                    break
+                rows_b = rows_of.get(b, [])
+                # Witness rows left unhit if both a and b are removed:
+                # singly-covered rows of either, plus doubly-covered
+                # rows containing both.
+                b_rows = set(rows_b)
+                must_hit = (
+                    [r for r in rows_a if cover[r] == 1]
+                    + [r for r in rows_b if cover[r] == 1]
+                    + [r for r in rows_a if r in b_rows and cover[r] == 2]
+                )
+                if not must_hit:
+                    # a and b are jointly redundant — drop both.
+                    chosen = _prune_redundant(sets, chosen - {a, b}, costs=costs)
+                    improved = True
+                    break
+                candidates = set(sets[must_hit[0]]) - chosen
+                for r in must_hit[1:]:
+                    candidates &= sets[r]
+                    if not candidates:
+                        break
+                if candidates:
+                    if costs is None:
+                        pick = min(candidates)
+                    else:
+                        pick = min(candidates, key=lambda t: (costs[t], t))
+                        if costs[pick] >= costs[a] + costs[b]:
+                            continue
+                    chosen = _prune_redundant(
+                        sets, (chosen - {a, b}) | {pick}, costs=costs
+                    )
+                    improved = True
+                    break
+            else:
+                continue
+        if not improved:
+            break
+    return chosen

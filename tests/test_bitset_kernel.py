@@ -59,15 +59,20 @@ set_systems = st.integers(min_value=0, max_value=10**6).map(
 )
 
 
-def _random_sets(seed):
+def _random_sets(seed, tuples=(1, 40), witnesses=(1, 80)):
     rng = random.Random(seed)
-    n = rng.randint(1, 40)
-    m = rng.randint(1, 80)
+    n = rng.randint(*tuples)
+    m = rng.randint(*witnesses)
     ids = rng.sample(range(3 * n + 1), n)
     return [
         frozenset(rng.sample(ids, rng.randint(1, min(n, rng.randint(1, 6)))))
         for _ in range(m)
     ]
+
+
+wide_set_systems = st.integers(min_value=0, max_value=10**6).map(
+    lambda seed: _random_sets(seed, tuples=(30, 300), witnesses=(200, 600))
+)
 
 
 class TestReductionStages:
@@ -131,18 +136,35 @@ class TestBudgetedBnB:
         self, sets, node_limit
     ):
         """Same incumbent set, certified lower bound, and completion
-        flag for unlimited and node-budgeted searches (identical node
-        accounting — the searches expand the same tree)."""
+        flag for unlimited and node-budgeted searches, and the same
+        nodes spent — the searches expand the same tree."""
         seed = greedy_hitting_set(sets)
-        universe = sorted({t for s in sets for t in s})
         for budget in (Budget(), Budget(node_limit=node_limit)):
+            reference_meter = _BudgetMeter(budget)
+            bitset_meter = _BudgetMeter(budget)
             reference = _budgeted_bnb_reference(
-                sets, set(seed), _BudgetMeter(budget)
+                sets, set(seed), reference_meter
             )
-            bitset = _budgeted_bnb_bitset(
-                sets, set(seed), _BudgetMeter(budget), universe
-            )
+            bitset = _budgeted_bnb_bitset(sets, set(seed), bitset_meter)
             assert bitset == reference
+            assert bitset_meter.nodes_left == reference_meter.nodes_left
+
+    @given(wide_set_systems, st.integers(min_value=0, max_value=40))
+    def test_bitset_search_matches_reference_on_many_witnesses(
+        self, sets, node_limit
+    ):
+        """200–600 witnesses: each bitset spans many machine words and
+        the packing bound fills its conflict rows across nodes.  The
+        budgets stay small (an unlimited search would be exponential),
+        so most searches stop early and the abandoned bounds are
+        compared too."""
+        seed = greedy_hitting_set(sets)
+        reference_meter = _BudgetMeter(Budget(node_limit=node_limit))
+        bitset_meter = _BudgetMeter(Budget(node_limit=node_limit))
+        reference = _budgeted_bnb_reference(sets, set(seed), reference_meter)
+        bitset = _budgeted_bnb_bitset(sets, set(seed), bitset_meter)
+        assert bitset == reference
+        assert bitset_meter.nodes_left == reference_meter.nodes_left
 
     @given(set_systems)
     def test_dispatcher_matches_reference(self, sets):
@@ -151,6 +173,26 @@ class TestBudgetedBnB:
             sets, set(seed), _BudgetMeter(Budget())
         )
         assert _budgeted_bnb(sets, set(seed), _BudgetMeter(Budget())) == reference
+
+    def test_wide_tuple_universes_take_the_bitset_search(self, monkeypatch):
+        """A component over thousands of tuples runs the bitset search
+        too (its per-node cost follows the witness count), and matches
+        the frozenset search."""
+        rng = random.Random(7)
+        ids = rng.sample(range(10**6), 6000)
+        sets = [frozenset(ids[2 * i:2 * i + 2]) for i in range(3000)]
+        sets += [frozenset(rng.sample(ids, 3)) for _ in range(300)]
+        seed = greedy_hitting_set(sets)
+        reference_meter = _BudgetMeter(Budget(node_limit=20))
+        reference = _budgeted_bnb_reference(sets, set(seed), reference_meter)
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the frozenset search ran")
+
+        monkeypatch.setattr(approx, "_budgeted_bnb_reference", no_reference)
+        meter = _BudgetMeter(Budget(node_limit=20))
+        assert _budgeted_bnb(sets, set(seed), meter) == reference
+        assert meter.nodes_left == reference_meter.nodes_left
 
     @given(set_systems, st.integers(min_value=0, max_value=200))
     def test_unit_costs_search_exactly_like_no_costs(self, sets, node_limit):
