@@ -9,7 +9,8 @@ generalized vertex-cover reduction (Definition 48, Conjecture 49):
   partition space: vectorized lex-order expansion, exact subtree
   counting, contiguous sharding;
 * :mod:`repro.ijp.space` — batched Definition 48 screening over RGS
-  ranges: sound subtree pruning, vectorized leaf filters, the shared
+  ranges: sound subtree pruning, vectorized leaf filters, the
+  slot-coded leaf screen on fact ids and witness bitmasks, the shared
   condition-5 hitting-set prescreen, engine-probe certification;
 * :mod:`repro.ijp.search` — the Appendix C.2 procedure (Example 62):
   enumerate canonical join copies and constant partitions, test each

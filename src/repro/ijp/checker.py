@@ -85,12 +85,13 @@ def check_conditions_1_4(
     """Conditions 1-4 of Definition 48 for one candidate endpoint pair.
 
     These four are the *cheap* conditions — pure set/vector tests over
-    the database, no resilience solve — so the batch search evaluates
-    them separately and reserves the condition-5 probes for survivors.
-    ``all_sets``/``flags`` let callers amortize the witness enumeration
-    across the many pairs of one database (the search checks every
-    endpoint pair of every merged candidate; recomputing witnesses per
-    pair would dominate).
+    the database, no resilience solve.  This is the independent
+    per-database check: the partition sweep decides the same four
+    conditions on fact ids and bitmasks
+    (:meth:`repro.ijp.space.PartitionSpace.evaluate_leaf`), and tests
+    compare the two pair for pair.  ``all_sets``/``flags`` let callers
+    amortize the witness enumeration across the many pairs of one
+    database (recomputing witnesses per pair would dominate).
     """
     conditions: List[bool] = []
     reasons: List[str] = []

@@ -24,19 +24,28 @@ determined) has no IJP below it, and the whole RGS subtree is skipped
 — its exact size charged to the partition budget via the restricted
 Bell recurrence (:mod:`repro.ijp.rgs`).  Condition 4 is *not* monotone
 (a later fact can restore exogenous subvector symmetry), so it is only
-ever checked on leaves.  Condition 5 — the Figure 8 "or-property" —
-needs four resilience probes per surviving pair and is batched through
-:func:`repro.core.analyzer.solve_batch`, so the bitset
-kernel, columnar join, and content-hash result cache from the engine
-PRs all apply, and the unmodified-``D`` probe is shared by every pair
-of the same candidate database.
+ever checked on leaves.
+
+A leaf that survives the batch filter is screened slot-coded
+(:meth:`PartitionSpace.evaluate_leaf`): its at most ``k * m`` facts
+become fact ids in ``DBTuple`` order, its witnesses fact-id bitmasks,
+and conditions 1-4 plus the condition-5 prescreen (:func:`_cond5_prescreen`,
+exact minimum hitting sets over those masks) run on Python ints.
+Condition 5 — the Figure 8 "or-property" — is then confirmed for the
+pairs that pass: their database is rebuilt (:meth:`PartitionSpace.merge`)
+and its four resilience probes are batched through
+:func:`repro.core.analyzer.solve_batch`, so the bitset kernel, columnar
+join, and content-hash result cache all apply.  No
+:class:`~repro.db.database.Database` or ``DBTuple`` is made for a leaf
+before that, except the endpoint pairs a certificate or near miss
+reports.
 
 The screen is *sound*, never complete: it only discards candidates a
 Definition 48 condition provably rules out, so the pruned search finds
 exactly the certificates the exhaustive one does (pinned by tests and
 the E23 gates); Example 62's triangle IJP is rediscovered from the
-21147 three-copy partitions with only a few hundred leaves surviving
-to a per-database check.
+21147 three-copy partitions, of which 17539 reach the slot-coded leaf
+screen and 162 — one passing pair each — the engine probes.
 """
 
 from __future__ import annotations
@@ -44,16 +53,24 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.db.database import Database
 from repro.db.tuples import DBTuple
-from repro.ijp.checker import check_conditions_1_4, combined_flags
-from repro.ijp.rgs import LeafBatch, iter_leaf_batches, partition_from_rgs
+from repro.ijp.rgs import iter_leaf_batches, partition_from_rgs
 from repro.query.cq import ConjunctiveQuery
-from repro.query.evaluation import witness_tuple_sets
 from repro.witness.cache import CACHE_SCHEMA, _canonical_query_text
 
 
@@ -119,22 +136,26 @@ class NearMiss:
 
 @dataclass
 class LeafEvaluation:
-    """Full conditions-1-4 evaluation of one surviving leaf.
+    """Conditions 1-4 of one surviving leaf, on fact ids.
 
-    ``witness_sets`` keeps the database's (deduplicated) witness tuple
-    sets alive for the condition-5 stage: removing an endpoint ``a``
-    from ``D`` removes exactly the witnesses containing ``a`` and
-    creates none, so all four condition-5 probes are hitting-set
-    problems over *subsets of one shared witness enumeration* — the
-    kernelized component the probes share.
+    ``facts`` is the merged database's fact table in ``DBTuple`` order
+    (fact id = position), ``witnesses`` its distinct witness sets as
+    bitmasks over those ids restricted to the endogenous facts (the
+    hitting-set family all four condition-5 probes share: removing an
+    endpoint ``a`` from ``D`` removes exactly the witnesses containing
+    ``a`` and creates none), and ``candidates`` the fact-id pairs
+    passing conditions 1-4, in the serial checker's scan order.
     """
 
     rgs: Tuple[int, ...]
-    database: Database
-    candidates: List[Tuple[DBTuple, DBTuple]]
+    facts: List[Tuple[str, Tuple[int, ...]]]
+    witnesses: FrozenSet[int]
+    candidates: List[Tuple[int, int]]
     unbreakable: bool
-    witness_sets: List[frozenset] = field(default_factory=list)
-    endo_tuples: List[DBTuple] = field(default_factory=list)
+
+    def pair(self, a: int, b: int) -> Tuple[DBTuple, DBTuple]:
+        """The endpoint facts of candidate ids ``a``, ``b``."""
+        return DBTuple(*self.facts[a]), DBTuple(*self.facts[b])
 
 
 @dataclass
@@ -245,6 +266,53 @@ class PartitionSpace:
         self.endo_relations = sorted(
             {r for r, e in zip(self.fact_rel, self.fact_endo) if e}
         )
+        # Slot tables of the leaf stage (evaluate_leaf).  A slot's fact
+        # sorts by (relation rank, repr ranks of its values), which is
+        # DBTuple order: relation, then the reprs of the values — block
+        # 10 sorts before block 2.
+        self.relations = sorted(query.relation_names())
+        self._repr_rank = [0] * self.n
+        for r, v in enumerate(sorted(range(self.n), key=str)):
+            self._repr_rank[v] = r
+        self._slots = [
+            (rel, self.relations.index(rel), _getter(cols), endo)
+            for rel, cols, endo in zip(
+                self.fact_rel, self.fact_cols, self.fact_endo
+            )
+        ]
+        # The query's atoms as join steps over variable positions:
+        # ``checks`` compare variables bound by earlier atoms,
+        # ``repeats`` a variable repeated within the atom, ``binds``
+        # bind the variables the atom introduces.
+        self._atoms: List[Tuple] = []
+        bound: set = set()
+        for atom in query.atoms:
+            checks, repeats, binds, first = [], [], [], {}
+            for p, v in enumerate(var_pos[a] for a in atom.args):
+                if v in bound:
+                    checks.append((p, v))
+                elif v in first:
+                    repeats.append((p, first[v]))
+                else:
+                    first[v] = p
+                    binds.append((p, v))
+            bound.update(first)
+            self._atoms.append(
+                (atom.relation, tuple(checks), tuple(repeats), tuple(binds))
+            )
+        # Condition 4's subvector index sets: per endogenous relation,
+        # every (exogenous relation, index tuple of its arity).
+        arities = query.relation_arities()
+        exogenous = sorted(r for r, exo in self.flags.items() if exo)
+        self._subvectors: Dict[str, Tuple] = {
+            rel: tuple(
+                (e, idx)
+                for e in exogenous
+                if arities[e]
+                for idx in combinations(range(arities[rel]), arities[e])
+            )
+            for rel in self.endo_relations
+        }
 
     # -- batch helpers ----------------------------------------------------
 
@@ -381,52 +449,148 @@ class PartitionSpace:
         return db
 
     def evaluate_leaf(self, code: Sequence[int]) -> LeafEvaluation:
-        """Conditions 1-4 over every endpoint pair of one candidate.
+        """Conditions 1-4 over every endpoint pair of one candidate,
+        on fact ids and bitmasks — no :class:`Database` is built.
 
-        Witness sets are enumerated once and shared across the pairs
-        (the amortization :func:`check_conditions_1_4` is built for);
+        The slot facts are deduplicated into fact ids in ``DBTuple``
+        order; witnesses are enumerated as fact-id bitmasks by a
+        backtracking join over at most ``k`` facts per atom.  Then, per
+        fact: condition 2 is "in exactly one witness, of ``m`` facts",
+        condition 3 "no endogenous fact's value set strictly below",
+        condition 4 a signature of which exogenous subvectors are
+        present; per pair, condition 1 is incomparability of the value
+        set masks and condition 4 equality of the signatures.
         ``unbreakable`` flags an all-exogenous witness, which makes
-        condition 5 undefined for every pair — those candidates never
-        reach the probe batch, so the batch cannot raise
+        condition 5 undefined for every pair — those leaves yield no
+        candidates, so the probe batch cannot raise
         ``UnbreakableQueryError`` (witnesses of ``D - a`` are a subset
         of ``D``'s, so the screen on ``D`` covers the probes too).
         """
-        db = self.merge(code)
-        flags = combined_flags(db, self.query)
-        all_sets = witness_tuple_sets(db, self.query, endogenous_only=False)
-        unbreakable = any(
-            all(flags.get(t.relation, False) for t in s) for s in all_sets
-        )
-        candidates: List[Tuple[DBTuple, DBTuple]] = []
+        if isinstance(code, np.ndarray):
+            row = code.tolist()
+        else:
+            row = [int(c) for c in code]
+        rank = self._repr_rank
+        ranked = [rank[v] for v in row]
+        slots = self._slots
+        slot_of: Dict[Tuple, int] = {}
+        for s, (_, rel_rank, values, _) in enumerate(slots):
+            slot_of.setdefault((rel_rank, values(ranked)), s)
+        facts: List[Tuple[str, Tuple[int, ...]]] = []
+        value_masks: List[int] = []
+        by_rel: Dict[str, List[Tuple[int, Tuple[int, ...]]]] = {
+            rel: [] for rel in self.relations
+        }
+        endo = 0
+        below = set()  # value masks of the endogenous facts
+        for f, key in enumerate(sorted(slot_of)):
+            rel, _, values, endogenous = slots[slot_of[key]]
+            vals = values(row)
+            facts.append((rel, vals))
+            mask = 0
+            for v in vals:
+                mask |= 1 << v
+            value_masks.append(mask)
+            by_rel[rel].append((1 << f, vals))
+            if endogenous:
+                endo |= 1 << f
+                below.add(mask)
+
+        steps = []
+        for rel, checks, repeats, binds in self._atoms:
+            options = by_rel[rel]
+            if repeats:
+                options = [
+                    (bit, vals)
+                    for bit, vals in options
+                    if all(vals[p] == vals[q] for p, q in repeats)
+                ]
+            steps.append((options, checks, binds))
+        last = len(steps) - 1
+        binding = [0] * self.width
+        found = set()
+
+        def extend(i: int, mask: int) -> None:
+            options, checks, binds = steps[i]
+            for bit, vals in options:
+                for p, v in checks:
+                    if binding[v] != vals[p]:
+                        break
+                else:
+                    if i == last:
+                        found.add(mask | bit)
+                    else:
+                        for p, v in binds:
+                            binding[v] = vals[p]
+                        extend(i + 1, mask | bit)
+
+        extend(0, 0)
+        witnesses = frozenset(w & endo for w in found)
+        unbreakable = 0 in witnesses
+        candidates: List[Tuple[int, int]] = []
         if not unbreakable:
-            for name in sorted(db.relations):
-                if flags.get(name, False):
+            once = twice = sized = 0
+            for w in found:
+                twice |= once & w
+                once |= w
+                if w.bit_count() == self.m:
+                    sized |= w
+            single = once & ~twice & sized & endo
+            alive: Dict[str, List[int]] = {}  # relation order, like the ids
+            while single:
+                bit = single & -single
+                single ^= bit
+                f = bit.bit_length() - 1
+                mf = value_masks[f]
+                for g in below:
+                    if g & mf == g and g != mf:
+                        break
+                else:
+                    alive.setdefault(facts[f][0], []).append(f)
+            for rel, ids in alive.items():
+                if len(ids) < 2:
                     continue
-                for ta, tb in combinations(sorted(db.relations[name]), 2):
-                    conditions, _ = check_conditions_1_4(
-                        db, self.query, ta, tb, all_sets=all_sets, flags=flags
-                    )
-                    if all(conditions):
-                        candidates.append((ta, tb))
-        endo = sorted(
-            {
-                t
-                for s in all_sets
-                for t in s
-                if not flags.get(t.relation, False)
-            }
-        )
+                subvectors = self._subvectors[rel]
+                if subvectors:
+                    present = {
+                        e: {vals for _, vals in by_rel[e]}
+                        for e in {e for e, _ in subvectors}
+                    }
+                    signature = {
+                        f: tuple(
+                            tuple(facts[f][1][i] for i in idx) in present[e]
+                            for e, idx in subvectors
+                        )
+                        for f in ids
+                    }
+                for a, b in combinations(ids, 2):
+                    ma, mb = value_masks[a], value_masks[b]
+                    if (
+                        ma | mb != ma
+                        and ma | mb != mb
+                        and (not subvectors or signature[a] == signature[b])
+                    ):
+                        candidates.append((a, b))
         return LeafEvaluation(
-            rgs=tuple(int(c) for c in code),
-            database=db,
+            rgs=tuple(row),
+            facts=facts,
+            witnesses=witnesses,
             candidates=candidates,
             unbreakable=unbreakable,
-            witness_sets=all_sets,
-            endo_tuples=endo,
         )
 
 
-def _min_hitting_number(masks: List[int]) -> int:
+def _getter(cols: Tuple[int, ...]):
+    """``row -> tuple(row[c] for c in cols)``, at C speed."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    c = cols[0]
+    return lambda row: (row[c],)
+
+
+def _min_hitting_number(
+    masks: Iterable[int], upper: Optional[int] = None, floor: int = 0
+) -> int:
     """Exact minimum hitting-set size over bitmask witness sets.
 
     The Section 2 view at candidate scale: a merged ``k``-copy database
@@ -434,13 +598,21 @@ def _min_hitting_number(masks: List[int]) -> int:
     each and an exact branch-and-bound (branch on the tuples of a
     smallest uncovered set) runs in microseconds.  Every mask must be
     nonzero — all-exogenous witnesses are screened out upstream.
+    ``upper`` and ``floor`` are bounds the caller knows to hold (the
+    probes of :func:`_cond5_prescreen` know ``rho(D) - 1 <= rho(D - a)
+    <= rho(D)``): the search only looks for covers below ``upper`` and
+    stops at the first one of size ``floor``.
     """
-    work = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
     pruned: List[int] = []
-    for m in work:  # supersets of a kept set are hit whenever it is
-        if not any(m & p == p for p in pruned):
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        for p in pruned:  # supersets of a kept set are hit whenever it is
+            if m & p == p:
+                break
+        else:
             pruned.append(m)
     best = len(pruned)  # hitting one tuple per set always works
+    if upper is not None:
+        best = min(best, upper)
 
     def bnb(remaining: List[int], depth: int) -> None:
         nonlocal best
@@ -449,9 +621,8 @@ def _min_hitting_number(masks: List[int]) -> int:
             return
         if depth + 1 >= best:
             return
-        smallest = min(remaining, key=lambda m: bin(m).count("1"))
-        bits = smallest
-        while bits:
+        bits = remaining[0]  # a smallest set: ``pruned`` is size-sorted
+        while bits and best > floor:
             bit = bits & -bits
             bits ^= bit
             bnb([m for m in remaining if not m & bit], depth + 1)
@@ -461,110 +632,109 @@ def _min_hitting_number(masks: List[int]) -> int:
 
 
 def _cond5_prescreen(
-    ev: LeafEvaluation, flags: Dict[str, bool]
-) -> Tuple[int, List[Tuple[Tuple[DBTuple, DBTuple], Tuple[int, int, int, int]]]]:
-    """Exact condition-5 values for every candidate pair of one leaf,
-    computed from the shared witness enumeration.
+    ev: LeafEvaluation, memo: Dict[FrozenSet[int], int]
+) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int, int, int]]]:
+    """Exact condition-5 values for each candidate pair of one leaf, in
+    order, computed from the shared witness masks.
 
     ``witnesses(D - t)`` are precisely the witness sets of ``D`` not
     containing ``t`` (a homomorphism not using ``t`` survives the
     removal, and removals create no witnesses), so all four probes are
     hitting-set problems over one set family — no per-probe database
-    build, canonicalization, or witness re-enumeration.  Probes short-
-    circuit: most candidates already miss ``rho(D-a) = rho(D) - 1``.
+    build, canonicalization, or witness re-enumeration.  A candidate
+    endpoint lies in exactly one witness (condition 2), so ``D - a``
+    keeps every witness but that one.  Probes short-circuit: most
+    candidates already miss ``rho(D-a) = rho(D) - 1``.  ``memo`` maps a
+    kept-mask family to its minimum hitting number; it is the caller's,
+    one per :func:`certify_candidates` call.
     """
-    bit_of = {t: 1 << i for i, t in enumerate(ev.endo_tuples)}
-    full_masks: List[int] = []
-    endo_masks: List[int] = []
-    for s in ev.witness_sets:
-        endo_masks.append(
-            sum(bit_of[t] for t in s if not flags.get(t.relation, False))
-        )
-        full_masks.append(sum(bit_of.get(t, 0) for t in s))
-    r0 = _min_hitting_number(endo_masks)
-    outcomes = []
-    for ta, tb in ev.candidates:
-        ba, bb = bit_of[ta], bit_of[tb]
+    family = ev.witnesses
 
-        def rho_minus(removed: int) -> int:
-            kept = [
-                em
-                for em, fm in zip(endo_masks, full_masks)
-                if not fm & removed
-            ]
-            return _min_hitting_number(kept) if kept else 0
+    def rho(
+        kept: FrozenSet[int], upper: Optional[int] = None, floor: int = 0
+    ) -> int:
+        if not kept:
+            return 0
+        value = memo.get(kept)
+        if value is None:
+            value = memo[kept] = _min_hitting_number(kept, upper, floor)
+        return value
 
-        ra = rho_minus(ba)
+    r0 = rho(family)
+    for a, b in ev.candidates:
+        # Removing one fact lowers rho by at most one, and never raises it.
+        wa = next(w for w in family if w >> a & 1)
+        ra = rho(family - {wa}, r0, r0 - 1)
         if ra != r0 - 1:
-            outcomes.append(((ta, tb), (r0, ra, None, None)))
+            yield (a, b), (r0, ra, None, None)
             continue
-        rb = rho_minus(bb)
+        wb = next(w for w in family if w >> b & 1)
+        rb = rho(family - {wb}, r0, r0 - 1)
         if rb != r0 - 1:
-            outcomes.append(((ta, tb), (r0, ra, rb, None)))
+            yield (a, b), (r0, ra, rb, None)
             continue
-        rab = rho_minus(ba | bb)
-        outcomes.append(((ta, tb), (r0, ra, rb, rab)))
-    return r0, outcomes
+        yield (a, b), (r0, ra, rb, rho(family - {wa, wb}, ra, ra - 1))
 
 
 def certify_candidates(
-    query: ConjunctiveQuery,
-    k: int,
+    space: PartitionSpace,
     evaluations: Sequence[LeafEvaluation],
+    near_miss_limit: int,
     cache_dir=None,
     query_name: Optional[str] = None,
 ) -> Tuple[List[IJPCertificate], List[NearMiss], int, int]:
     """Condition-5 stage: shared-witness prescreen, then engine probes.
 
     Every candidate pair is first decided exactly from its leaf's
-    shared witness enumeration (:func:`_cond5_prescreen`); the pairs
-    that pass — the would-be certificates, a tiny fraction — are then
-    confirmed through :func:`~repro.core.analyzer.solve_batch`, so each
-    emitted certificate's four probe values (``D``, ``D-a``, ``D-b``,
-    ``D-ab``) come from the engine front door with join, kernel,
-    and — given ``cache_dir`` — content-hash caching applied (the
-    unmodified-``D`` probe dedupes across a database's pairs by
-    construction).  Returns at most one certificate per database (the
-    first passing pair in the serial checker's scan order), plus a
-    :class:`NearMiss` for every pair failing only condition 5, the
+    witness masks (:func:`_cond5_prescreen`); the pairs that pass — the
+    would-be certificates, a tiny fraction — are then confirmed through
+    :func:`~repro.core.analyzer.solve_batch` on the rebuilt database
+    (:meth:`PartitionSpace.merge`), so each emitted certificate's four
+    probe values (``D``, ``D-a``, ``D-b``, ``D-ab``) come from the
+    engine front door with join, kernel, and — given ``cache_dir`` —
+    content-hash caching applied (the unmodified-``D`` probe dedupes
+    across a database's pairs by construction).  Returns at most one
+    certificate per database (the first passing pair in the serial
+    checker's scan order), the first ``near_miss_limit``
+    :class:`NearMiss` pairs failing only condition 5, the
     ``solve_batch`` probe count, and the prescreened pair count.
     """
     from repro.core.analyzer import solve_batch
 
+    query, k = space.query, space.k
     name = query_name or query.name or "q"
     prescreened = 0
     near_misses: List[NearMiss] = []
     passing: List[Tuple[LeafEvaluation, Tuple[DBTuple, DBTuple]]] = []
+    memo: Dict[FrozenSet[int], int] = {}
     for ev in evaluations:
-        if not ev.candidates:
-            continue
-        flags = combined_flags(ev.database, query)
-        _, outcomes = _cond5_prescreen(ev, flags)
-        prescreened += len(outcomes)
-        found = False
-        for (ta, tb), (r0, ra, rb, rab) in outcomes:
-            if not found and ra == rb == rab == r0 - 1:
-                passing.append((ev, (ta, tb)))
-                found = True
-            elif not found:
+        prescreened += len(ev.candidates)
+        for (a, b), probe in _cond5_prescreen(ev, memo):
+            r0, ra, rb, rab = probe
+            if ra == rb == rab == r0 - 1:
+                passing.append((ev, ev.pair(a, b)))
+                break
+            if len(near_misses) < near_miss_limit:
                 near_misses.append(
-                    NearMiss(name, k, ev.rgs, (ta, tb), (r0, ra, rb, rab))
+                    NearMiss(name, k, ev.rgs, ev.pair(a, b), probe)
                 )
     if not passing:
         return [], near_misses, 0, prescreened
     probes: List[Tuple[Database, ConjunctiveQuery]] = []
     for ev, (ta, tb) in passing:
-        probes.append((ev.database, query))
-        probes.append((ev.database.minus({ta}), query))
-        probes.append((ev.database.minus({tb}), query))
-        probes.append((ev.database.minus({ta, tb}), query))
+        db = space.merge(ev.rgs)
+        probes.append((db, query))
+        probes.append((db.minus({ta}), query))
+        probes.append((db.minus({tb}), query))
+        probes.append((db.minus({ta, tb}), query))
     values = solve_batch(probes, cache_dir=cache_dir).values()
     certificates: List[IJPCertificate] = []
     for i, (ev, (ta, tb)) in enumerate(passing):
         r0, ra, rb, rab = values[4 * i : 4 * i + 4]
         if ra == rb == rab == r0 - 1:
             certificates.append(IJPCertificate(name, k, ev.rgs, (ta, tb), r0))
-        else:  # pragma: no cover - prescreen and engine are both exact
+        # Not reached: the prescreen and the engine are both exact.
+        elif len(near_misses) < near_miss_limit:  # pragma: no cover
             near_misses.append(
                 NearMiss(name, k, ev.rgs, (ta, tb), (r0, ra, rb, rab))
             )
@@ -604,15 +774,22 @@ def sweep_space(
     result = SpaceSweepResult(stats=stats)
     pruner = space.prune_prefixes if prune else None
     pending: List[LeafEvaluation] = []
+    pending_pairs = 0
 
     def flush() -> bool:
         """Run the probe batch; True when the sweep should stop."""
+        nonlocal pending_pairs
         if not pending:
             return False
         certs, misses, probes, prescreened = certify_candidates(
-            query, k, pending, cache_dir=cache_dir, query_name=name
+            space,
+            pending,
+            near_miss_limit - len(result.near_misses),
+            cache_dir=cache_dir,
+            query_name=name,
         )
         pending.clear()
+        pending_pairs = 0
         stats.probes += probes
         stats.prescreened += prescreened
         for cert in certs:
@@ -621,9 +798,7 @@ def sweep_space(
                 or len(result.certificates) < certificate_limit
             ):
                 result.certificates.append(cert)
-        for miss in misses:
-            if len(result.near_misses) < near_miss_limit:
-                result.near_misses.append(miss)
+        result.near_misses.extend(misses)
         return stop_on_first and bool(result.certificates)
 
     stop = False
@@ -651,10 +826,8 @@ def sweep_space(
                 stats.candidates += len(ev.candidates)
                 if ev.candidates:
                     pending.append(ev)
-                    if (
-                        sum(len(e.candidates) for e in pending) >= probe_chunk
-                        and flush()
-                    ):
+                    pending_pairs += len(ev.candidates)
+                    if pending_pairs >= probe_chunk and flush():
                         stopped_at = at + 1
                         break
             if stopped_at is not None:

@@ -20,11 +20,19 @@ E21 benchmarks) that check the fast paths against them:
   :func:`rgs_reference`, the recursive restricted-growth-string
   enumeration the vectorized ``repro.ijp.rgs`` engine must match;
 * :func:`local_search_reference` — the list-based 2-for-1 swap local
-  search the bitset ``approx._local_search`` must match exactly.
+  search the bitset ``approx._local_search`` must match exactly;
+* :func:`evaluate_leaf_reference` / :func:`cond5_prescreen_reference` —
+  the IJP leaf stage on a merged :class:`~repro.db.database.Database`
+  and ``DBTuple`` witness sets (Definition 48 conditions 1-4 through
+  ``check_conditions_1_4``, condition 5 over tuple-indexed bitmasks),
+  which the slot-coded ``PartitionSpace.evaluate_leaf`` and
+  ``_cond5_prescreen`` must match pair for pair.
 """
 
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass, field
+from itertools import combinations
 from typing import (
     Dict,
     FrozenSet,
@@ -38,10 +46,18 @@ from typing import (
 
 import networkx as nx
 
-from repro.ijp.checker import IJPReport, find_ijp_pair
+from repro.db.database import Database
+from repro.db.tuples import DBTuple
+from repro.ijp.checker import (
+    IJPReport,
+    check_conditions_1_4,
+    combined_flags,
+    find_ijp_pair,
+)
 from repro.ijp.search import _merge_copies, set_partitions
+from repro.ijp.space import PartitionSpace, _min_hitting_number
 from repro.query.cq import ConjunctiveQuery
-from repro.query.evaluation import satisfies
+from repro.query.evaluation import satisfies, witness_tuple_sets
 from repro.resilience import approx
 from repro.resilience.approx import (
     _SWAP_PAIRS_PER_PASS,
@@ -52,6 +68,9 @@ from repro.resilience.flownet import FlowNetwork
 from repro.witness import structure
 
 __all__ = [
+    "ReferenceLeafEvaluation",
+    "cond5_prescreen_reference",
+    "evaluate_leaf_reference",
     "force_reference_kernel",
     "ijp_search_reference",
     "local_search_reference",
@@ -290,3 +309,118 @@ def local_search_reference(
         if not improved:
             break
     return chosen
+
+
+@dataclass
+class ReferenceLeafEvaluation:
+    """Full conditions-1-4 evaluation of one surviving leaf.
+
+    ``witness_sets`` keeps the database's (deduplicated) witness tuple
+    sets alive for the condition-5 stage: removing an endpoint ``a``
+    from ``D`` removes exactly the witnesses containing ``a`` and
+    creates none, so all four condition-5 probes are hitting-set
+    problems over *subsets of one shared witness enumeration* — the
+    kernelized component the probes share.
+    """
+
+    rgs: Tuple[int, ...]
+    database: Database
+    candidates: List[Tuple[DBTuple, DBTuple]]
+    unbreakable: bool
+    witness_sets: List[frozenset] = field(default_factory=list)
+    endo_tuples: List[DBTuple] = field(default_factory=list)
+
+
+def evaluate_leaf_reference(
+    space: PartitionSpace, code: Sequence[int]
+) -> ReferenceLeafEvaluation:
+    """Conditions 1-4 over every endpoint pair of one candidate.
+
+    Witness sets are enumerated once and shared across the pairs
+    (the amortization :func:`check_conditions_1_4` is built for);
+    ``unbreakable`` flags an all-exogenous witness, which makes
+    condition 5 undefined for every pair — those candidates never
+    reach the probe batch, so the batch cannot raise
+    ``UnbreakableQueryError`` (witnesses of ``D - a`` are a subset
+    of ``D``'s, so the screen on ``D`` covers the probes too).
+    """
+    db = space.merge(code)
+    flags = combined_flags(db, space.query)
+    all_sets = witness_tuple_sets(db, space.query, endogenous_only=False)
+    unbreakable = any(
+        all(flags.get(t.relation, False) for t in s) for s in all_sets
+    )
+    candidates: List[Tuple[DBTuple, DBTuple]] = []
+    if not unbreakable:
+        for name in sorted(db.relations):
+            if flags.get(name, False):
+                continue
+            for ta, tb in combinations(sorted(db.relations[name]), 2):
+                conditions, _ = check_conditions_1_4(
+                    db, space.query, ta, tb, all_sets=all_sets, flags=flags
+                )
+                if all(conditions):
+                    candidates.append((ta, tb))
+    endo = sorted(
+        {
+            t
+            for s in all_sets
+            for t in s
+            if not flags.get(t.relation, False)
+        }
+    )
+    return ReferenceLeafEvaluation(
+        rgs=tuple(int(c) for c in code),
+        database=db,
+        candidates=candidates,
+        unbreakable=unbreakable,
+        witness_sets=all_sets,
+        endo_tuples=endo,
+    )
+
+
+def cond5_prescreen_reference(
+    ev: ReferenceLeafEvaluation, flags: Dict[str, bool]
+) -> Tuple[int, List[Tuple[Tuple[DBTuple, DBTuple], Tuple[int, int, int, int]]]]:
+    """Exact condition-5 values for every candidate pair of one leaf,
+    computed from the shared witness enumeration.
+
+    ``witnesses(D - t)`` are precisely the witness sets of ``D`` not
+    containing ``t`` (a homomorphism not using ``t`` survives the
+    removal, and removals create no witnesses), so all four probes are
+    hitting-set problems over one set family — no per-probe database
+    build, canonicalization, or witness re-enumeration.  Probes short-
+    circuit: most candidates already miss ``rho(D-a) = rho(D) - 1``.
+    """
+    bit_of = {t: 1 << i for i, t in enumerate(ev.endo_tuples)}
+    full_masks: List[int] = []
+    endo_masks: List[int] = []
+    for s in ev.witness_sets:
+        endo_masks.append(
+            sum(bit_of[t] for t in s if not flags.get(t.relation, False))
+        )
+        full_masks.append(sum(bit_of.get(t, 0) for t in s))
+    r0 = _min_hitting_number(endo_masks)
+    outcomes = []
+    for ta, tb in ev.candidates:
+        ba, bb = bit_of[ta], bit_of[tb]
+
+        def rho_minus(removed: int) -> int:
+            kept = [
+                em
+                for em, fm in zip(endo_masks, full_masks)
+                if not fm & removed
+            ]
+            return _min_hitting_number(kept) if kept else 0
+
+        ra = rho_minus(ba)
+        if ra != r0 - 1:
+            outcomes.append(((ta, tb), (r0, ra, None, None)))
+            continue
+        rb = rho_minus(bb)
+        if rb != r0 - 1:
+            outcomes.append(((ta, tb), (r0, ra, rb, None)))
+            continue
+        rab = rho_minus(ba | bb)
+        outcomes.append(((ta, tb), (r0, ra, rb, rab)))
+    return r0, outcomes

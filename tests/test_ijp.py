@@ -1,5 +1,7 @@
 """Tests for Independent Join Paths (Section 9, Appendix C)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -175,6 +177,34 @@ class TestSearchRediscoversTrianglePartition:
         assert report is not None
         a, b = report.pair
         assert a.relation == b.relation
+
+    def test_full_three_copy_sweep_is_pinned(self):
+        """Example 62's whole B(9) = 21147 space: the certificates, their
+        digest (as the benchmark's ijp_triangle workload computes it)
+        and every sweep counter."""
+        result = sweep_range(q_triangle, 3, query_name="q_triangle")
+        certs = result.certificates
+        assert len(certs) == 162
+        assert sum(certificate_is_proper(c) for c in certs) == 36
+        digest = hashlib.sha256()
+        for cert in certs:
+            digest.update(repr((cert.rgs, repr(cert.pair), cert.resilience)).encode())
+            digest.update(b"\x1f")
+        assert digest.hexdigest() == (
+            "f1cc3121038dbc6d781c5a9a21601b5959e12854947a62a70c07c1d58a2fa65e"
+        )
+        assert result.stats.to_dict() == {
+            "k": 3,
+            "n": 9,
+            "covered": 21147,
+            "enumerated": 21147,
+            "pruned": 0,
+            "checked_rows": 17539,
+            "candidates": 52722,
+            "prescreened": 52722,
+            "probes": 648,
+            "exhausted": True,
+        }
 
 
 class TestRGS:
